@@ -1,6 +1,13 @@
 """Command-line front end: tables, verification suites, partition listings,
 and sequence export with an optional on-disk coefficient cache.
 
+Output formats, checked before any series, suite or cache work:
+
+    table      text, csv, json
+    verify     text, json, csv
+    partition  text, json
+    export     text, json, csv, bfile  (text is the b-file)
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O error.
 """
@@ -12,14 +19,10 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import __version__, stanley, verify
 from .partitions import classify, hook_length, partitions_of
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: fall back to unlocked cache access
-    fcntl = None
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -32,6 +35,14 @@ JSON_SAFE_MAGNITUDE = 2**53
 
 STATS = ("p", "t", "u", "f")
 FORMATS = ("text", "json", "csv", "bfile")
+
+# command -> (what its usage error calls the output, the formats it renders)
+COMMAND_FORMATS = {
+    "table": ("table output supports", ("text", "csv", "json")),
+    "verify": ("verification reports support", ("text", "json", "csv")),
+    "partition": ("partition listings support", ("text", "json")),
+    "export": ("exports support", FORMATS),
+}
 
 
 class UsageError(Exception):
@@ -55,13 +66,15 @@ class CliConfig:
             raise UsageError(f"unknown format {self.output_format!r}")
 
 
-def _json_coeff(value: int):
+def _json_coeff(value: int | None):
     # decimal strings beyond 53-bit magnitude keep JSON interchange lossless
-    return value if abs(value) < JSON_SAFE_MAGNITUDE else str(value)
+    return value if value is None or abs(value) < JSON_SAFE_MAGNITUDE else str(value)
 
 
-def _parse_json_coeff(value) -> int:
-    return int(value)
+def _csv_lines(header, rows):
+    """Comma-separated lines, header first."""
+    for row in chain([header], rows):
+        yield ",".join(map(str, row)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +84,13 @@ def _cache_file(cache_dir: str, stat: str, order: int) -> str:
     return os.path.join(cache_dir, f"{stat}-o{order}-v{__version__}.json")
 
 
-class _CacheLock:
-    """Advisory flock on the cache directory, exclusive per invocation."""
-
-    def __init__(self, cache_dir: str):
-        self.path = os.path.join(cache_dir, ".lock")
-        self.handle = None
-
-    def __enter__(self):
-        if fcntl is None:
-            return self
-        self.handle = open(self.path, "a+")
-        try:
-            fcntl.flock(self.handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self.handle.close()
-            raise OSError(f"cache directory {self.path!r} is locked by another process")
-        return self
-
-    def __exit__(self, *exc):
-        if self.handle is not None:
-            fcntl.flock(self.handle, fcntl.LOCK_UN)
-            self.handle.close()
-
-
 def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
-    """Write one coefficient column, atomically, keyed by (stat, order, version)."""
+    """Write one coefficient column, atomically, keyed by (stat, order, version).
+
+    Each writer renames its own temporary file into place, so runs sharing a
+    cache directory need no lock: entries are deterministic and the last
+    writer wins.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_file(cache_dir, stat, order)
     payload = {
@@ -105,7 +99,7 @@ def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
         "order": order,
         "values": [str(v) for v in values],
     }
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh)
     os.replace(tmp, path)
@@ -132,28 +126,6 @@ def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
         return None
 
 
-def cache_roundtrip(config: CliConfig, table: stanley.StanleyTable) -> stanley.StanleyTable:
-    """Persist a table's four columns and rebuild the table from disk."""
-    if config.cache_path is None:
-        raise UsageError("no cache path configured")
-    with _make_and_lock(config.cache_path):
-        columns = {}
-        for stat in STATS:
-            cache_store(config.cache_path, stat, table.max_n, table.column(stat))
-            loaded = cache_load(config.cache_path, stat, table.max_n)
-            if loaded is None:
-                raise OSError(f"cache round-trip failed for {stat!r} in {config.cache_path}")
-            columns[stat] = tuple(loaded)
-    return stanley.StanleyTable(
-        table.max_n, columns["p"], columns["t"], columns["u"], columns["f"], table.source
-    )
-
-
-def _make_and_lock(cache_dir: str) -> _CacheLock:
-    os.makedirs(cache_dir, exist_ok=True)
-    return _CacheLock(cache_dir)
-
-
 _SERIES_FOR_STAT = {
     "p": stanley.p_series,
     "t": stanley.t_series_andrews,
@@ -164,66 +136,49 @@ _SERIES_FOR_STAT = {
 
 def _stat_values(config: CliConfig, stat: str) -> list[int]:
     """One generating-function column at config.order, cache-aware."""
-    if config.cache_path is not None:
-        with _make_and_lock(config.cache_path):
-            cached = cache_load(config.cache_path, stat, config.order)
-            if cached is not None:
-                return cached
-            values = list(_SERIES_FOR_STAT[stat](config.order).coeffs)
-            cache_store(config.cache_path, stat, config.order, values)
-            return values
-    return list(_SERIES_FOR_STAT[stat](config.order).coeffs)
+    if config.cache_path is None:
+        return list(_SERIES_FOR_STAT[stat](config.order).coeffs)
+    values = cache_load(config.cache_path, stat, config.order)
+    if values is None:
+        values = list(_SERIES_FOR_STAT[stat](config.order).coeffs)
+        cache_store(config.cache_path, stat, config.order, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out) -> int:
-    if max_n > config.order:
-        raise UsageError(
-            f"--max {max_n} exceeds the series order {config.order}; raise --order"
-        )
     columns = {s: _stat_values(config, s)[: max_n + 1] for s in stats}
     oracle_columns = {}
-    mismatch = False
     if oracle:
-        if max_n > config.oracle_bound:
-            raise UsageError(
-                f"--oracle enumeration is capped at --oracle-bound {config.oracle_bound}; "
-                f"raise it to table {max_n} by brute force"
-            )
         enum = stanley.table_from_enumeration(max_n)
         oracle_columns = {s: list(enum.column(s)) for s in stats}
-        mismatch = any(columns[s] != oracle_columns[s] for s in stats)
+    mismatch = any(columns[s] != oracle_columns[s] for s in oracle_columns)
+    cells = [*columns.values(), *oracle_columns.values()]
+    rows = ([n] + [col[n] for col in cells] for n in range(max_n + 1))
 
-    if config.output_format == "text":
-        header = ["n"] + stats + ([f"{s}.enum" for s in stats] + ["match"] if oracle else [])
-        rows = []
-        for n in range(max_n + 1):
-            row = [str(n)] + [str(columns[s][n]) for s in stats]
-            if oracle:
-                row += [str(oracle_columns[s][n]) for s in stats]
-                row.append("ok" if all(columns[s][n] == oracle_columns[s][n] for s in stats) else "MISMATCH")
-            rows.append(row)
-        widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-        for row in [header] + rows:
-            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)), file=out)
-    elif config.output_format == "csv":
-        header = ["n"] + stats + ([f"{s}_enum" for s in stats] if oracle else [])
-        print(",".join(header), file=out)
-        for n in range(max_n + 1):
-            row = [str(n)] + [str(columns[s][n]) for s in stats]
-            if oracle:
-                row += [str(oracle_columns[s][n]) for s in stats]
-            print(",".join(row), file=out)
-    elif config.output_format == "json":
+    if config.output_format == "json":
         doc = {"max_n": max_n, "columns": {s: [_json_coeff(v) for v in columns[s]] for s in stats}}
         if oracle:
             doc["oracle"] = {s: [_json_coeff(v) for v in oracle_columns[s]] for s in stats}
             doc["match"] = not mismatch
         print(json.dumps(doc), file=out)
-    else:
-        raise UsageError("table output supports text, csv, or json")
+    elif config.output_format == "csv":
+        out.writelines(_csv_lines(["n", *stats, *(f"{s}_enum" for s in oracle_columns)], rows))
+    else:  # text: right-aligned columns, and a match marker per oracle row
+        k = len(stats)
+        header = ["n", *stats]
+        if oracle:
+            header += [f"{s}.enum" for s in stats] + ["match"]
+        lines = [header]
+        for row in rows:
+            if oracle:
+                row.append("ok" if row[1 : k + 1] == row[k + 1 :] else "MISMATCH")
+            lines.append([str(cell) for cell in row])
+        widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+        for line in lines:
+            print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)), file=out)
     return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
@@ -235,65 +190,44 @@ def cmd_verify(config: CliConfig, suite: str, out) -> int:
         oracle_bound=config.oracle_bound,
     )
     passed = all(r.passed for r in reports)
-    if config.output_format == "text":
-        for r in reports:
-            print(r.to_line(), file=out)
-        n_fail = sum(1 for r in reports if not r.passed)
-        print(f"{len(reports)} checks: {len(reports) - n_fail} passed, {n_fail} failed", file=out)
-    elif config.output_format == "json":
+    if config.output_format == "json":
         doc = {
             "suite": suite,
             "passed": passed,
             "reports": [
-                {**r.to_dict(),
-                 "lhs_value": _json_coeff(r.lhs_value) if r.lhs_value is not None else None,
-                 "rhs_value": _json_coeff(r.rhs_value) if r.rhs_value is not None else None}
+                {**r.to_dict(), "lhs_value": _json_coeff(r.lhs_value), "rhs_value": _json_coeff(r.rhs_value)}
                 for r in reports
             ],
         }
         print(json.dumps(doc), file=out)
     elif config.output_format == "csv":
-        print("check_name,order_or_bound,passed,first_failure_index,lhs_value,rhs_value", file=out)
-        for r in reports:
-            cells = [
-                r.check_name,
-                str(r.order_or_bound),
-                str(r.passed).lower(),
-                "" if r.first_failure_index is None else str(r.first_failure_index),
-                "" if r.lhs_value is None else str(r.lhs_value),
-                "" if r.rhs_value is None else str(r.rhs_value),
-            ]
-            print(",".join(cells), file=out)
+        header = ["check_name", "order_or_bound", "passed", "first_failure_index", "lhs_value", "rhs_value"]
+        rows = (
+            [r.check_name, r.order_or_bound, str(r.passed).lower(),
+             *("" if v is None else v for v in (r.first_failure_index, r.lhs_value, r.rhs_value))]
+            for r in reports
+        )
+        out.writelines(_csv_lines(header, rows))
     else:
-        raise UsageError("verification reports support text, json, or csv")
+        for r in reports:
+            print(r.to_line(), file=out)
+        n_fail = sum(1 for r in reports if not r.passed)
+        print(f"{len(reports)} checks: {len(reports) - n_fail} passed, {n_fail} failed", file=out)
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -> int:
-    if n > PARTITION_LISTING_CAP:
-        raise UsageError(f"partition listings are capped at n <= {PARTITION_LISTING_CAP}")
-    entries = []
+    # text is printed as the partitions stream by; JSON needs the whole list
+    listing = []
     for lam in partitions_of(n):
         stats = classify(lam)
         kind = "t" if stats.is_t_type else "u"
         if filt != "all" and kind != filt:
             continue
-        entries.append((lam, stats, kind))
-
-    if config.output_format == "text":
-        for lam, stats, kind in entries:
-            parts = "(" + ", ".join(str(x) for x in lam) + ")" if lam else "()"
-            print(
-                f"{parts}  O={stats.odd_parts} O'={stats.odd_parts_conjugate} "
-                f"He={stats.even_hooks} type={kind}",
-                file=out,
-            )
-            if show_hooks and lam:
-                for i, row in enumerate(lam, 1):
-                    print("    " + " ".join(str(hook_length(lam, i, j)) for j in range(1, row + 1)), file=out)
-    elif config.output_format == "json":
-        doc = []
-        for lam, stats, kind in entries:
+        hooks = []
+        if show_hooks:
+            hooks = [[hook_length(lam, i, j) for j in range(1, row + 1)] for i, row in enumerate(lam, 1)]
+        if config.output_format == "json":
             entry = {
                 "parts": list(lam),
                 "odd_parts": stats.odd_parts,
@@ -302,14 +236,18 @@ def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -
                 "type": kind,
             }
             if show_hooks:
-                entry["hooks"] = [
-                    [hook_length(lam, i, j) for j in range(1, row + 1)]
-                    for i, row in enumerate(lam, 1)
-                ]
-            doc.append(entry)
-        print(json.dumps(doc), file=out)
-    else:
-        raise UsageError("partition listings support text or json")
+                entry["hooks"] = hooks
+            listing.append(entry)
+        else:
+            print(
+                f"({', '.join(str(x) for x in lam)})  O={stats.odd_parts} "
+                f"O'={stats.odd_parts_conjugate} He={stats.even_hooks} type={kind}",
+                file=out,
+            )
+            for row in hooks:
+                print("    " + " ".join(str(h) for h in row), file=out)
+    if config.output_format == "json":
+        print(json.dumps(listing), file=out)
     return EXIT_OK
 
 
@@ -318,7 +256,7 @@ def render_bfile(values) -> str:
 
 
 def render_csv(stat: str, values) -> str:
-    return f"n,{stat}\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
+    return "".join(_csv_lines(["n", stat], enumerate(values)))
 
 
 def render_json(stat: str, values) -> str:
@@ -330,7 +268,8 @@ def parse_bfile(text: str) -> list[int]:
     for line in text.splitlines():
         if line.strip():
             n, v = line.split()
-            assert int(n) == len(values), "b-file indices must start at 0 and be contiguous"
+            if int(n) != len(values):
+                raise ValueError("b-file indices must start at 0 and be contiguous")
             values.append(int(v))
     return values
 
@@ -341,24 +280,17 @@ def parse_csv(text: str) -> list[int]:
 
 
 def parse_json_export(text: str) -> list[int]:
-    return [_parse_json_coeff(v) for v in json.loads(text)["values"]]
+    return [int(v) for v in json.loads(text)["values"]]
 
 
 def cmd_export(config: CliConfig, stat: str, max_n: int, out_path: str | None, out) -> int:
-    if max_n > config.order:
-        raise UsageError(
-            f"--max {max_n} exceeds the series order {config.order}; raise --order"
-        )
     values = _stat_values(config, stat)[: max_n + 1]
-    fmt = config.output_format
-    if fmt in ("bfile", "text"):  # a b-file is already plain text
-        rendered = render_bfile(values)
-    elif fmt == "csv":
+    if config.output_format == "csv":
         rendered = render_csv(stat, values)
-    elif fmt == "json":
+    elif config.output_format == "json":
         rendered = render_json(stat, values)
-    else:
-        raise UsageError(f"unknown export format {fmt!r}")
+    else:  # bfile, and text, which a b-file already is
+        rendered = render_bfile(values)
     if out_path is None:
         out.write(rendered)
     else:
@@ -434,32 +366,46 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.output_format,
             cache_path=args.cache or os.environ.get(CACHE_ENV_VAR),
         )
-        out = sys.stdout
-        if args.command == "table":
+        command = args.command
+        if command == "table":
             stats = [s.strip() for s in args.stats.split(",") if s.strip()]
             for s in stats:
                 if s not in STATS:
                     raise UsageError(f"unknown statistic {s!r}; choose from p,t,u,f")
             if not stats:
                 raise UsageError("no statistics requested")
+        if command in ("table", "export"):
             if args.max_n < 0:
                 raise UsageError("--max must be nonnegative")
-            return cmd_table(config, stats, args.max_n, args.oracle, out)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite, out)
-        if args.command == "partition":
+            if args.max_n > config.order:
+                raise UsageError(
+                    f"--max {args.max_n} exceeds the series order {config.order}; raise --order"
+                )
+        if command == "table" and args.oracle and args.max_n > config.oracle_bound:
+            raise UsageError(
+                f"--oracle enumeration is capped at --oracle-bound {config.oracle_bound}; "
+                f"raise it to table {args.max_n} by brute force"
+            )
+        if command == "partition":
             if args.n < 0:
                 raise UsageError("--n must be nonnegative")
+            if args.n > PARTITION_LISTING_CAP:
+                raise UsageError(f"partition listings are capped at n <= {PARTITION_LISTING_CAP}")
+        # the format is the last usage check, and comes before any work
+        what, formats = COMMAND_FORMATS[command]
+        if config.output_format not in formats:
+            *rest, last = formats
+            raise UsageError(f"{what} {', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}")
+
+        out = sys.stdout
+        if command == "table":
+            return cmd_table(config, stats, args.max_n, args.oracle, out)
+        if command == "verify":
+            return cmd_verify(config, args.suite, out)
+        if command == "partition":
             return cmd_partition(config, args.n, args.filter, args.show_hooks, out)
-        if args.command == "export":
-            if args.max_n < 0:
-                raise UsageError("--max must be nonnegative")
-            return cmd_export(config, args.stat, args.max_n, args.out, out)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        return cmd_export(config, args.stat, args.max_n, args.out, out)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -134,9 +134,7 @@ def hook_length(lam: Sequence[int], i: int, j: int) -> int:
     return lam[i - 1] - j + col - i + 1
 
 
-def even_hook_count(lam: Sequence[int]) -> int:
-    """Number of cells whose hook length is even."""
-    conj = _conjugate_parts(lam)
+def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
     count = 0
     for i, row in enumerate(lam, 1):
         for j in range(1, row + 1):
@@ -145,17 +143,17 @@ def even_hook_count(lam: Sequence[int]) -> int:
     return count
 
 
+def even_hook_count(lam: Sequence[int]) -> int:
+    """Number of cells whose hook length is even."""
+    return _even_hooks(lam, _conjugate_parts(lam))
+
+
 def classify(lam: Sequence[int]) -> PartitionStats:
     """Full statistics record for one partition."""
     conj = _conjugate_parts(lam)
     odd = sum(1 for p in lam if p & 1)
     odd_conj = sum(1 for p in conj if p & 1)
-    even_hooks = 0
-    for i, row in enumerate(lam, 1):
-        for j in range(1, row + 1):
-            if (row - j + conj[j - 1] - i + 1) % 2 == 0:
-                even_hooks += 1
-    return PartitionStats(odd, odd_conj, even_hooks, (odd - odd_conj) % 4 == 0)
+    return PartitionStats(odd, odd_conj, _even_hooks(lam, conj), (odd - odd_conj) % 4 == 0)
 
 
 def inner_corners(lam: Sequence[int]) -> list[tuple[int, int]]:

@@ -12,7 +12,6 @@ or bound they were verified to.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import stanley
@@ -78,9 +77,6 @@ class VerificationReport:
             f"FAIL {self.check_name}: first mismatch at index {self.first_failure_index}"
             f" (lhs={self.lhs_value}, rhs={self.rhs_value}, bound={self.order_or_bound})"
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def assert_series_equal(name: str, a: TruncatedSeries, b: TruncatedSeries) -> VerificationReport:
@@ -564,14 +560,6 @@ def suite_combinatorial(
     return reports
 
 
-def suite_proof_steps(order: int = DEFAULT_ORDER) -> list[VerificationReport]:
-    return check_proof_steps(order)
-
-
-def suite_congruences(order: int = DEFAULT_ORDER) -> list[VerificationReport]:
-    return check_congruences(order)
-
-
 def run_suite(
     name: str,
     order: int = DEFAULT_ORDER,
@@ -589,7 +577,7 @@ def run_suite(
             suite_combinatorial(enum_bound=enum_bound, corner_bound=min(enum_bound, DEFAULT_CORNER_BOUND))
         )
     if name in ("all", "proof-steps"):
-        reports.extend(suite_proof_steps(order=order))
+        reports.extend(check_proof_steps(order))
     if name in ("all", "congruences"):
-        reports.extend(suite_congruences(order=order))
+        reports.extend(check_congruences(order))
     return sorted(reports, key=lambda r: r.check_name)

@@ -1,14 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import stanleypf
 from stanleypf import stanley
 from stanleypf.cli import (
-    CliConfig,
     _json_coeff,
     cache_load,
-    cache_roundtrip,
     cache_store,
     main,
     parse_bfile,
@@ -82,9 +83,11 @@ class TestTable:
         doc = json.loads(out)
         assert doc["columns"]["u"] == [0, 0, 2, 2]
 
-    def test_bfile_format_rejected(self, capsys):
-        code, _, err = run(capsys, "table", "--stats", "t", "--max", "2", "--format", "bfile")
+    def test_bfile_format_rejected(self, tmp_path, capsys):
+        code, _, err = run(capsys, "table", "--stats", "t", "--max", "2", "--format", "bfile",
+                           "--cache", str(tmp_path))
         assert code == 2
+        assert os.listdir(tmp_path) == []
 
 
 class TestVerifyCommand:
@@ -131,9 +134,28 @@ class TestVerifyCommand:
         assert "FAIL cong/synthetic" in out
         assert "0 passed, 1 failed" in out
 
-    def test_bfile_format_rejected(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "congruences", "--format", "bfile")
+    def test_failing_report_json_keeps_big_witnesses_exact(self, capsys, monkeypatch):
+        from stanleypf import verify
+        from stanleypf.verify import VerificationReport
+
+        big = 2**64 + 1
+        failing = VerificationReport("cong/synthetic", 5, False, 3, big, -7)
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: [failing])
+        code, out, _ = run(capsys, "verify", "--suite", "congruences", "--format", "json")
+        assert code == 1
+        (report,) = json.loads(out)["reports"]
+        assert (report["first_failure_index"], report["lhs_value"], report["rhs_value"]) == (3, str(big), -7)
+
+    def test_bfile_format_rejected(self, capsys, monkeypatch):
+        from stanleypf import verify
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before the format was checked")
+
+        monkeypatch.setattr(verify, "run_suite", no_suite)
+        code, _, err = run(capsys, "verify", "--suite", "congruences", "--format", "bfile")
         assert code == 2
+        assert err == "error: verification reports support text, json, or csv\n"
 
 
 class TestPartitionCommand:
@@ -209,6 +231,12 @@ class TestExport:
         assert parse_csv(render_csv("t", values)) == values
         assert parse_json_export(render_json("t", values)) == values
 
+    def test_bfile_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            parse_bfile("1 3\n")
+        with pytest.raises(ValueError, match="contiguous"):
+            parse_bfile("0 1\n2 3\n")
+
     def test_json_big_integers_become_strings(self):
         big = 2**63 + 7
         assert _json_coeff(big) == str(big)
@@ -244,11 +272,21 @@ class TestCache:
         json.dump(payload, open(path, "w"))
         assert cache_load(str(tmp_path), "t", 4) is None
 
-    def test_roundtrip_table(self, tmp_path):
-        table = stanley.table_from_series(12)
-        config = CliConfig(cache_path=str(tmp_path))
-        again = cache_roundtrip(config, table)
-        assert again == table
+    def test_concurrent_misses_share_a_cache(self, tmp_path):
+        # four runs that all miss at once: none may fail, and none may leave a
+        # temporary or lock file behind
+        src = os.path.dirname(os.path.dirname(stanleypf.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [sys.executable, "-m", "stanleypf", "export", "--stat", "t", "--max", "800",
+               "--order", "800", "--format", "bfile", "--cache", str(tmp_path)]
+        procs = [subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                 for _ in range(4)]
+        results = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 4, [err for _, err in results]
+        outputs = {out for out, _ in results}
+        assert len(outputs) == 1
+        assert os.listdir(tmp_path) == [f"t-o800-v{stanleypf.__version__}.json"]
+        assert cache_load(str(tmp_path), "t", 800) == parse_bfile(outputs.pop())
 
     def test_cli_uses_cache(self, tmp_path, capsys):
         code, first, _ = run(capsys, "export", "--stat", "t", "--max", "6",
