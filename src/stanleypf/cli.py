@@ -155,7 +155,8 @@ def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out
         enum = stanley.table_from_enumeration(max_n)
         oracle_columns = {s: list(enum.column(s)) for s in stats}
     mismatch = any(columns[s] != oracle_columns[s] for s in oracle_columns)
-    cells = [*columns.values(), *oracle_columns.values()]
+    # indexed by stats, not by the dicts, so a repeated statistic keeps its columns
+    cells = [columns[s] for s in stats] + ([oracle_columns[s] for s in stats] if oracle else [])
     rows = ([n] + [col[n] for col in cells] for n in range(max_n + 1))
 
     if config.output_format == "json":
@@ -165,7 +166,7 @@ def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out
             doc["match"] = not mismatch
         print(json.dumps(doc), file=out)
     elif config.output_format == "csv":
-        out.writelines(_csv_lines(["n", *stats, *(f"{s}_enum" for s in oracle_columns)], rows))
+        out.writelines(_csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
     else:  # text: right-aligned columns, and a match marker per oracle row
         k = len(stats)
         header = ["n", *stats]
@@ -256,7 +257,7 @@ def render_bfile(values) -> str:
 
 
 def render_csv(stat: str, values) -> str:
-    return "".join(_csv_lines(["n", stat], enumerate(values)))
+    return f"n,{stat}\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
 
 
 def render_json(stat: str, values) -> str:
