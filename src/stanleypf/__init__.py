@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 
 from .partitions import Partition, PartitionStats, partitions_of
 from .series_core import ProductSpec, ThetaSpec, TruncatedSeries
-from .stanley import StanleyTable, table_from_enumeration, table_from_series
+from .stanley import StanleyTable, table_from_dp, table_from_enumeration, table_from_series
 from .verify import VerificationReport, run_suite
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "ThetaSpec",
     "TruncatedSeries",
     "StanleyTable",
+    "table_from_dp",
     "table_from_enumeration",
     "table_from_series",
     "VerificationReport",

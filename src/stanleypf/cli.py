@@ -8,8 +8,9 @@ Output formats, checked before any series, suite or cache work:
     partition  text, json
     export     text, json, csv, bfile  (text is the b-file)
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage error, 3 I/O error.
+Exit codes: 0 success / all checks pass, 1 verification failure (a failed
+check, or an internal identity failing on computed values), 2 usage error,
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -313,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25)")
     common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
-                        help="brute-force cross-check bound (default 60)")
+                        help="bound of the partition-DP cross-check in verify and of "
+                             "the brute force in table --oracle (default 60)")
     common.add_argument("--format", choices=FORMATS, default="text", dest="output_format",
                         help="output format (default text)")
     common.add_argument("--cache", default=None,
@@ -406,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         if command == "partition":
             return cmd_partition(config, args.n, args.filter, args.show_hooks, out)
         return cmd_export(config, args.stat, args.max_n, args.out, out)
+    except stanley.IdentityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,10 +2,14 @@
 
 t(n) counts partitions of n whose odd-part count agrees with that of the
 conjugate mod 4; u(n) = p(n) - t(n) counts the rest; f(n) = t(n) - u(n)
-is the signed count. Each function is computed two independent ways:
+is the signed count. Each function is computed by two independent routes:
 
-* brute force, by streaming every partition of n and classifying it from
-  the odd-part counts alone;
+* combinatorially, from the odd-part counts alone, in one of two ways:
+  a dynamic programme over part sizes that counts p(n) and t(n) for all
+  n <= N in O(N^2 log N) additions (``table_from_dp``, the oracle of
+  ``verify``), or brute force, streaming every partition of n
+  (``table_from_enumeration``, ``t_bruteforce``; the tier-1 reference and
+  ``table --oracle``);
 * generating functions, as exact product expansions:
 
     sum f(n) q^n  =  (-q; q^2) / ( (q^4; q^4) (-q^2; q^4)^2 )
@@ -18,13 +22,15 @@ sum u(4n+i) q^n are built from the closed forms sharing the quotient
 V(q) = (q^2)^2 (q^8)^2 / ( (q)^5 (q^4) ).
 
 Keeping both routes alive is the point: every identity is cross-checked
-enumeration-versus-series rather than assumed.
+enumeration-versus-series rather than assumed. Neither combinatorial
+counter touches a series, and the two share no code with each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .partitions import _parts_stream
 from .series_core import (
@@ -39,6 +45,7 @@ from .series_core import (
 )
 
 SOURCE_ENUMERATION = "enumeration"
+SOURCE_DP = "enumeration-dp"
 SOURCE_GENERATING_FUNCTION = "generating-function"
 
 # (-q; q^2) / ( (q^4; q^4) (-q^2; q^4)^2 ), the generating function of f
@@ -62,6 +69,14 @@ _U_PROGRESSION = {
 }
 
 
+class IdentityError(ValueError):
+    """A defining identity failed on computed values.
+
+    This is a defect in one of the routes, not bad input, so the command
+    line reports it as a verification failure rather than a usage error.
+    """
+
+
 def p_series(order: int) -> TruncatedSeries:
     """Partition numbers p(n) as the expansion of 1/(q; q)."""
     return series_reciprocal(expand_product(ProductSpec(((-1, 1, 1, 1),)), order))
@@ -77,7 +92,7 @@ def _halve_exactly(s: TruncatedSeries) -> TruncatedSeries:
     for k, c in enumerate(s.coeffs):
         q, rem = divmod(c, 2)
         if rem:
-            raise ValueError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly")
+            raise IdentityError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly")
         halved.append(q)
     return TruncatedSeries(tuple(halved))
 
@@ -171,7 +186,7 @@ class StanleyTable:
     source: str
 
     def __post_init__(self) -> None:
-        if self.source not in (SOURCE_ENUMERATION, SOURCE_GENERATING_FUNCTION):
+        if self.source not in (SOURCE_ENUMERATION, SOURCE_DP, SOURCE_GENERATING_FUNCTION):
             raise ValueError(f"unknown table source {self.source!r}")
         for name in ("p", "t", "u", "f"):
             col = getattr(self, name)
@@ -181,14 +196,20 @@ class StanleyTable:
                 raise ValueError(f"column {name} must have {self.max_n + 1} entries")
         for n in range(self.max_n + 1):
             if self.p[n] != self.t[n] + self.u[n]:
-                raise ValueError(f"p(n) = t(n) + u(n) fails at n={n}")
+                raise IdentityError(f"p(n) = t(n) + u(n) fails at n={n}")
             if self.f[n] != self.t[n] - self.u[n]:
-                raise ValueError(f"f(n) = t(n) - u(n) fails at n={n}")
+                raise IdentityError(f"f(n) = t(n) - u(n) fails at n={n}")
 
     def column(self, stat: str) -> tuple[int, ...]:
         if stat not in ("p", "t", "u", "f"):
             raise ValueError(f"unknown statistic {stat!r}")
         return getattr(self, stat)
+
+
+def _table_from_counts(max_n: int, p: list[int], t: list[int], source: str) -> StanleyTable:
+    u = [pn - tn for pn, tn in zip(p, t)]
+    f = [tn - un for tn, un in zip(t, u)]
+    return StanleyTable(max_n, tuple(p), tuple(t), tuple(u), tuple(f), source)
 
 
 def table_from_enumeration(max_n: int) -> StanleyTable:
@@ -198,9 +219,54 @@ def table_from_enumeration(max_n: int) -> StanleyTable:
         pn, tn = _enumeration_counts(n)
         p.append(pn)
         t.append(tn)
-    u = [pn - tn for pn, tn in zip(p, t)]
-    f = [tn - un for tn, un in zip(t, u)]
-    return StanleyTable(max_n, tuple(p), tuple(t), tuple(u), tuple(f), SOURCE_ENUMERATION)
+    return _table_from_counts(max_n, p, t, SOURCE_ENUMERATION)
+
+
+def _odd_count_shift(k: int, m: int, c: int) -> int:
+    """Change in O(lambda) - O(lambda') from appending m parts equal to k to
+    a partition with c parts so far (only c mod 2 matters).
+
+    O(lambda) gains m (k & 1). O(lambda') = lam_1 - lam_2 + lam_3 - ...
+    gains nothing when m is even; when m is odd it gains +k if the first new
+    part sits at an odd position (c even) and -k otherwise.
+    """
+    shift = m * (k & 1)
+    if m & 1:
+        shift += k if c & 1 else -k
+    return shift
+
+
+def table_from_dp(max_n: int) -> StanleyTable:
+    """Count p(n) and t(n) for every n <= max_n in one dynamic programme.
+
+    Part sizes k = max_n, ..., 1 are taken in descending order, each with a
+    multiplicity m, so parts are appended in the order lam_1 >= lam_2 >= ...
+    The state is (weight, number of parts mod 2, (O(lambda) - O(lambda'))
+    mod 4), and a partition is t-type when the last is 0. That costs
+    O(max_n^2 log max_n) big-integer additions; no partition is visited and
+    no series is expanded, so the counts are independent of both the
+    brute-force stream and the generating functions.
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    size = max_n + 1
+    # counts[4 * c + a][w]: partitions of weight w into the parts taken so
+    # far, with c parts mod 2 and O(lambda) - O(lambda') = a mod 4
+    counts = [[0] * size for _ in range(8)]
+    counts[0][0] = 1
+    for k in range(max_n, 0, -1):
+        extended = [[0] * size for _ in range(8)]
+        for m in range(max_n // k + 1):
+            offset = m * k
+            for c in (0, 1):
+                shift = _odd_count_shift(k, m, c)
+                for a in range(4):
+                    dst = extended[4 * (c ^ (m & 1)) + (a + shift) % 4]
+                    dst[offset:] = map(add, dst[offset:], counts[4 * c + a][: size - offset])
+        counts = extended
+    p = [sum(col) for col in zip(*counts)]
+    t = [even + odd for even, odd in zip(counts[0], counts[4])]
+    return _table_from_counts(max_n, p, t, SOURCE_DP)
 
 
 def table_from_series(max_n: int, order: int | None = None) -> StanleyTable:

@@ -1,10 +1,15 @@
 """Machine verification of the series identities and hook-statistic theorems.
 
 Each check expands both sides of one identity from primitive constructors
-(products, theta sums, reciprocals) or enumerates partitions outright, and
+(products, theta sums, reciprocals) or counts partitions combinatorially, and
 reports the first mismatching index with both witness values. The two sides
 of a check never share a derived intermediate, so a compensating bug in one
 pipeline cannot hide.
+
+The combinatorial side of the ``series/*-vs-enumeration`` checks is the
+partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
+combinatorial suite ties that DP to exhaustive enumeration: its even-hook
+counts over every partition of n <= ``enum_bound`` must equal the DP's t(n).
 
 Passing at a finite order is evidence, not proof: reports state the order
 or bound they were verified to.
@@ -20,6 +25,7 @@ from .partitions import (
     conjugate,
     corner_parity_check,
     inner_corners,
+    odd_parts_count,
     partitions_of,
 )
 from .series_core import (
@@ -408,7 +414,8 @@ def check_hook_counting(n_max: int) -> list[VerificationReport]:
 
     For each n <= n_max: partitions with evenly many even hooks number t(n),
     those with oddly many are even in number, and the signed count equals the
-    coefficient of the f product series.
+    coefficient of the f product series. t(n) comes from the partition DP,
+    so this also checks the DP against exhaustive enumeration.
     """
     even_counts, odd_counts = [], []
     for n in range(n_max + 1):
@@ -426,7 +433,7 @@ def check_hook_counting(n_max: int) -> list[VerificationReport]:
             "comb/even-hook-partitions-equal-t",
             n_max,
             even_counts,
-            [stanley.t_bruteforce(n) for n in range(n_max + 1)],
+            list(stanley.table_from_dp(n_max).t),
         ),
         _values_equal(
             "comb/odd-hook-partitions-count-even",
@@ -444,13 +451,19 @@ def check_hook_counting(n_max: int) -> list[VerificationReport]:
 
 
 def check_conjugation_pairing(n_max: int) -> VerificationReport:
-    """u-type partitions pair off under conjugation with no fixed points."""
+    """u-type partitions pair off under conjugation with no fixed points.
+
+    Types are read off odd-part counts alone, without the hook grid:
+    lambda is t-type when O(lambda) - O(lambda') = 0 mod 4, and its partner
+    lambda' when O(lambda') - O(lambda'') = 0 mod 4.
+    """
     index = 0
     for n in range(n_max + 1):
         for lam in partitions_of(n):
-            if not classify(lam).is_t_type:
-                conj = conjugate(lam)
-                if conj == lam or classify(conj).is_t_type:
+            conj = conjugate(lam)
+            odd_conj = odd_parts_count(conj)
+            if (odd_parts_count(lam) - odd_conj) % 4:
+                if conj == lam or (odd_conj - odd_parts_count(conjugate(conj))) % 4 == 0:
                     return VerificationReport(
                         "comb/u-partitions-pair-under-conjugation", n_max, False, index, n, None
                     )
@@ -496,35 +509,35 @@ def suite_series(
     progression_bound: int = DEFAULT_PROGRESSION_BOUND,
     jtp_max_k: int = DEFAULT_JTP_MAX_K,
 ) -> list[VerificationReport]:
-    """Series-level checks: enumeration oracles, closed-form agreement,
-    progression extraction, and the triple-product family."""
-    enum_table = stanley.table_from_enumeration(oracle_bound)
-    take = oracle_bound + 1
+    """Series-level checks: the partition-DP oracle to oracle_bound,
+    closed-form agreement, progression extraction, and the triple-product
+    family."""
+    dp_table = stanley.table_from_dp(oracle_bound)
     reports = [
         assert_series_equal(
             "series/p-series-vs-partition-count",
-            TruncatedSeries(enum_table.p[: min(40, oracle_bound) + 1]),
+            TruncatedSeries(dp_table.p[: min(40, oracle_bound) + 1]),
             stanley.p_series(min(40, oracle_bound)),
         ),
         assert_series_equal(
             "series/u-product-vs-enumeration",
             stanley.u_series(max(oracle_bound, 2)),
-            TruncatedSeries(enum_table.u),
+            TruncatedSeries(dp_table.u),
         ),
         assert_series_equal(
             "series/t-eta-quotient-vs-enumeration",
             stanley.t_series_andrews(oracle_bound),
-            TruncatedSeries(enum_table.t),
+            TruncatedSeries(dp_table.t),
         ),
         assert_series_equal(
             "series/t-half-sum-vs-enumeration",
             stanley.t_series_half_sum(oracle_bound),
-            TruncatedSeries(enum_table.t),
+            TruncatedSeries(dp_table.t),
         ),
         assert_series_equal(
             "series/f-product-vs-enumeration",
             stanley.f_series(oracle_bound),
-            TruncatedSeries(enum_table.f),
+            TruncatedSeries(dp_table.f),
         ),
         assert_series_equal(
             "series/t-half-sum-vs-eta-quotient",

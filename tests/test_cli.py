@@ -146,6 +146,23 @@ class TestVerifyCommand:
         (report,) = json.loads(out)["reports"]
         assert (report["first_failure_index"], report["lhs_value"], report["rhs_value"]) == (3, str(big), -7)
 
+    def test_internal_identity_failure_exits_one(self, capsys, monkeypatch):
+        # one f coefficient off by one makes p + f odd there, so the exact
+        # halving behind t = (p + f) / 2 fails: a defect, not a usage error
+        real_f_series = stanley.f_series
+
+        def off_by_one(order):
+            coeffs = list(real_f_series(order).coeffs)
+            coeffs[5] += 1
+            return stanleypf.TruncatedSeries(tuple(coeffs))
+
+        monkeypatch.setattr(stanley, "f_series", off_by_one)
+        code, out, err = run(capsys, "verify", "--suite", "series", "--order", "40",
+                             "--oracle-bound", "12")
+        assert code == 1
+        assert out == ""
+        assert err == "error: coefficient 11 of q^5 is odd and cannot be halved exactly\n"
+
     def test_bfile_format_rejected(self, capsys, monkeypatch):
         from stanleypf import verify
 

@@ -69,7 +69,7 @@ class TestTSeries:
         assert stanley.t_series_half_sum(80) == stanley.t_series_andrews(80)
 
     def test_halving_guard_rejects_odd_coefficients(self):
-        with pytest.raises(ValueError, match="odd"):
+        with pytest.raises(stanley.IdentityError, match="odd"):
             stanley._halve_exactly(TruncatedSeries((2, 3)))
 
 
@@ -128,9 +128,9 @@ class TestStanleyTable:
         assert gf.source == "generating-function"
 
     def test_identities_enforced(self):
-        with pytest.raises(ValueError, match=r"p\(n\) = t\(n\) \+ u\(n\)"):
+        with pytest.raises(stanley.IdentityError, match=r"p\(n\) = t\(n\) \+ u\(n\)"):
             stanley.StanleyTable(1, (1, 1), (1, 1), (0, 1), (1, 1), "enumeration")
-        with pytest.raises(ValueError, match=r"f\(n\) = t\(n\) - u\(n\)"):
+        with pytest.raises(stanley.IdentityError, match=r"f\(n\) = t\(n\) - u\(n\)"):
             stanley.StanleyTable(1, (1, 1), (1, 1), (0, 0), (1, 0), "enumeration")
 
     def test_bad_source_rejected(self):
@@ -146,3 +146,33 @@ class TestStanleyTable:
     def test_series_order_must_cover_max_n(self):
         with pytest.raises(ValueError):
             stanley.table_from_series(10, order=5)
+
+
+class TestPartitionDP:
+    def test_equals_brute_force_to_sixty(self, enum_table_60):
+        dp = stanley.table_from_dp(60)
+        assert dp.source == stanley.SOURCE_DP == "enumeration-dp"
+        for stat in ("p", "t", "u", "f"):
+            assert dp.column(stat) == enum_table_60.column(stat), stat
+
+    def test_p_matches_pentagonal_recurrence(self):
+        assert list(stanley.table_from_dp(80).p) == pentagonal_partition_numbers(80)
+
+    def test_empty_partition_only(self):
+        dp = stanley.table_from_dp(0)
+        assert (dp.max_n, dp.p, dp.t, dp.u, dp.f) == (0, (1,), (1,), (0,), (1,))
+
+    def test_single_part(self):
+        # (1) has O = O' = 1, so it is t-type
+        dp = stanley.table_from_dp(1)
+        assert (dp.p, dp.t, dp.u, dp.f) == ((1, 1), (1, 1), (0, 0), (1, 1))
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            stanley.table_from_dp(-1)
+
+    def test_independent_of_series_and_stream(self):
+        # the oracle must not share code with either route it checks
+        code = stanley.table_from_dp.__code__.co_names + stanley._odd_count_shift.__code__.co_names
+        assert not {"_parts_stream", "_enumeration_counts", "eta_quotient", "expand_product",
+                    "series_mul", "series_reciprocal", "p_series"} & set(code)

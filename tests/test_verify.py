@@ -1,5 +1,6 @@
 import pytest
 
+from stanleypf import stanley
 from stanleypf.series_core import TruncatedSeries
 from stanleypf.verify import (
     VerificationReport,
@@ -143,6 +144,13 @@ class TestSuites:
         assert "series/t-half-sum-vs-eta-quotient" in names
         assert "series/u-progression-3-vs-extraction" in names
 
+    def test_series_suite_dp_oracle_to_three_hundred(self):
+        reports = suite_series(order=300, oracle_bound=300)
+        assert [r.to_line() for r in reports if not r.passed] == []
+        bounds = {r.check_name: r.order_or_bound for r in reports}
+        assert bounds["series/t-eta-quotient-vs-enumeration"] == 300
+        assert bounds["series/p-series-vs-partition-count"] == 40
+
     def test_combinatorial_suite(self):
         reports = suite_combinatorial(enum_bound=10, corner_bound=8)
         assert all(r.passed for r in reports)
@@ -160,3 +168,42 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
+
+
+def _series_reports(**bounds):
+    reports = suite_series(order=40, progression_bound=5, jtp_max_k=0, **bounds)
+    return {r.check_name: r for r in reports}
+
+
+class TestFaultInjection:
+    """A planted defect on either side of an oracle check must trip it."""
+
+    def test_flipped_alternating_sign_in_dp(self, monkeypatch):
+        real_shift = stanley._odd_count_shift
+
+        def flipped(k, m, c):
+            # an odd run starting at an even position adds +k, not -k, to O(lambda')
+            shift = real_shift(k, m, c)
+            return shift + 2 * k if m & 1 and c & 1 else shift
+
+        monkeypatch.setattr(stanley, "_odd_count_shift", flipped)
+        reports = _series_reports(oracle_bound=12)
+        r = reports["series/t-eta-quotient-vs-enumeration"]
+        # (2, 1) is the first partition misread: O' = 2 + 1 instead of 2 - 1,
+        # so the DP gives t(3) = 0 against Andrews' 1
+        assert not r.passed
+        assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (3, 1, 0, 12)
+        assert reports["series/p-series-vs-partition-count"].passed
+        assert reports["series/t-half-sum-vs-eta-quotient"].passed
+
+    def test_perturbed_andrews_exponent(self, monkeypatch):
+        terms = dict(stanley._T_ETA_TERMS)
+        terms[16] -= 1  # (q^16)^5 becomes (q^16)^4
+        monkeypatch.setattr(stanley, "_T_ETA_TERMS", tuple(terms.items()))
+        reports = _series_reports(oracle_bound=20)
+        r = reports["series/t-eta-quotient-vs-enumeration"]
+        # dividing by (q^16; q^16) first adds t(0) = 1 at q^16: 185 + 1
+        assert not r.passed
+        assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (16, 186, 185, 20)
+        assert reports["series/t-half-sum-vs-enumeration"].passed
+        assert not reports["series/t-half-sum-vs-eta-quotient"].passed
