@@ -1,6 +1,6 @@
 import pytest
 
-from stanleypf import stanley
+from stanleypf import partitions, stanley
 from stanleypf.series_core import TruncatedSeries
 from stanleypf.verify import (
     VerificationReport,
@@ -207,3 +207,79 @@ class TestFaultInjection:
         assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (16, 186, 185, 20)
         assert reports["series/t-half-sum-vs-enumeration"].passed
         assert not reports["series/t-half-sum-vs-eta-quotient"].passed
+
+
+def _report(name, bound, index=None, lhs=None, rhs=None):
+    return VerificationReport(name, bound, index is None, index, lhs, rhs)
+
+
+def _combinatorial_alone(n_max):
+    """Each combinatorial check called on its own, to one bound."""
+    return [
+        check_hook_parity(n_max),
+        check_corner_lemma(n_max),
+        *check_hook_counting(n_max),
+        check_conjugation_pairing(n_max),
+    ]
+
+
+class TestCombinatorialFaultInjection:
+    """A planted defect in a shared per-partition statistic must trip each
+    check that reads it, at the same index and with the same witnesses
+    whether the check runs alone or inside the suite."""
+
+    @pytest.fixture
+    def miscounted_hooks(self, monkeypatch):
+        real = partitions._even_hooks
+
+        def planted(lam, conj):
+            # one extra even hook in the diagram of (3, 2), a t-type partition
+            # of 5 with hooks 4, 3, 1 / 2, 1
+            return real(lam, conj) + (tuple(lam) == (3, 2))
+
+        monkeypatch.setattr(partitions, "_even_hooks", planted)
+
+    @pytest.fixture
+    def misconjugated(self, monkeypatch):
+        real = partitions._conjugate_parts
+
+        def planted(parts):
+            # (1, 1, 1) is sent to (2, 1), the self-conjugate partition of 3
+            return (2, 1) if tuple(parts) == (1, 1, 1) else real(parts)
+
+        monkeypatch.setattr(partitions, "_conjugate_parts", planted)
+
+    @staticmethod
+    def _hook_fault_reports(enum_bound, corner_bound):
+        # (3, 2) is partition 14 counting from n = 0 and 13 counting from
+        # n = 1. With 3 even hooks against O - O' = 0 mod 4 it breaks the
+        # parity theorem. Removing its corner (1, 3) changes H_e from 3 to
+        # 2, an odd step, while lambda_1 = 3 and lambda'_3 = 1 agree in
+        # parity. At n = 5 it moves one partition from the even count
+        # (t(5) = 5) to the odd count.
+        return [
+            _report("comb/hook-parity-equivalence", enum_bound, 14, 0, 3),
+            _report("comb/corner-parity-lemma", corner_bound, 13, 1, 3),
+            _report("comb/even-hook-partitions-equal-t", enum_bound, 5, 4, 5),
+            _report("comb/odd-hook-partitions-count-even", enum_bound, 5, 1, 0),
+            _report("comb/signed-hook-count-equals-f", enum_bound, 5, 1, 3),
+            _report("comb/u-partitions-pair-under-conjugation", enum_bound),
+        ]
+
+    def test_miscounted_even_hook_in_suite(self, miscounted_hooks):
+        assert suite_combinatorial(25, 20) == self._hook_fault_reports(25, 20)
+
+    @pytest.mark.parametrize("n_max", (5, 12))
+    def test_miscounted_even_hook_checks_alone(self, miscounted_hooks, n_max):
+        assert _combinatorial_alone(n_max) == self._hook_fault_reports(n_max, n_max)
+
+    def test_miscounted_even_hook_below_its_weight(self, miscounted_hooks):
+        assert all(r.passed for r in _combinatorial_alone(4))
+
+    def test_misconjugated_partition(self, misconjugated):
+        # (3) is u-type and its conjugate (1, 1, 1) is found, but (1, 1, 1)
+        # is paired with a t-type partner; index 6 counts from n = 0
+        expected = _report("comb/u-partitions-pair-under-conjugation", 25, 6, 3, None)
+        assert suite_combinatorial(25, 20)[-1] == expected
+        assert check_conjugation_pairing(25) == expected
+        assert check_conjugation_pairing(2).passed
