@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import __version__, stanley, verify
-from .partitions import classify, hook_length, partitions_of
+from .partitions import classify, hook_lengths, partitions_of
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -226,9 +226,7 @@ def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -
         kind = "t" if stats.is_t_type else "u"
         if filt != "all" and kind != filt:
             continue
-        hooks = []
-        if show_hooks:
-            hooks = [[hook_length(lam, i, j) for j in range(1, row + 1)] for i, row in enumerate(lam, 1)]
+        hooks = hook_lengths(lam) if show_hooks else []
         if config.output_format == "json":
             entry = {
                 "parts": list(lam),

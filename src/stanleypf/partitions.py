@@ -134,12 +134,30 @@ def hook_length(lam: Sequence[int], i: int, j: int) -> int:
     return lam[i - 1] - j + col - i + 1
 
 
+def hook_lengths(lam: Sequence[int]) -> list[list[int]]:
+    """The hook length of every cell, one list per row, from one conjugation."""
+    conj = _conjugate_parts(lam)
+    return [
+        [row - j + conj[j - 1] - i + 1 for j in range(1, row + 1)]
+        for i, row in enumerate(lam, 1)
+    ]
+
+
 def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
+    # Cells are counted row by row. Hook (i, j) = lam_i - j + conj_j - i + 1
+    # is even exactly when conj_j - j = i - 1 - lam_i mod 2, so row i holds
+    # as many even hooks as there are columns j <= lam_i of that parity.
+    # odd_upto[j] counts the columns j' <= j with conj_j' - j' odd.
+    # This is one side of the hook-parity theorem: it must read only hook
+    # lengths, never odd-part counts or the 2-core.
+    odd_upto = [0]
+    odd = 0
+    for j, col in enumerate(conj, 1):
+        odd += (col - j) & 1
+        odd_upto.append(odd)
     count = 0
-    for i, row in enumerate(lam, 1):
-        for j in range(1, row + 1):
-            if (row - j + conj[j - 1] - i + 1) % 2 == 0:
-                count += 1
+    for i0, row in enumerate(lam):  # i0 = i - 1
+        count += odd_upto[row] if (i0 - row) & 1 else row - odd_upto[row]
     return count
 
 
@@ -148,12 +166,20 @@ def even_hook_count(lam: Sequence[int]) -> int:
     return _even_hooks(lam, _conjugate_parts(lam))
 
 
+def _statistics(lam: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
+    """(lam', O(lam), O(lam'), H_e(lam)) from one conjugation.
+
+    The odd-part counts and the even-hook count share only lam and its
+    conjugate.
+    """
+    conj = _conjugate_parts(lam)
+    return conj, odd_parts_count(lam), odd_parts_count(conj), _even_hooks(lam, conj)
+
+
 def classify(lam: Sequence[int]) -> PartitionStats:
     """Full statistics record for one partition."""
-    conj = _conjugate_parts(lam)
-    odd = sum(1 for p in lam if p & 1)
-    odd_conj = sum(1 for p in conj if p & 1)
-    return PartitionStats(odd, odd_conj, _even_hooks(lam, conj), (odd - odd_conj) % 4 == 0)
+    _conj, odd, odd_conj, even_hooks = _statistics(lam)
+    return PartitionStats(odd, odd_conj, even_hooks, (odd - odd_conj) % 4 == 0)
 
 
 def inner_corners(lam: Sequence[int]) -> list[tuple[int, int]]:

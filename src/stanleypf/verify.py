@@ -10,6 +10,10 @@ The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
 combinatorial suite ties that DP to exhaustive enumeration: its even-hook
 counts over every partition of n <= ``enum_bound`` must equal the DP's t(n).
+The suite makes one shared pass over those partitions. Each partition's
+conjugate, odd-part counts and cell-by-cell even-hook count are computed
+once and feed all four combinatorial checks; the odd-part side and the
+hook side share only the partition and its conjugate.
 
 Passing at a finite order is evidence, not proof: reports state the order
 or bound they were verified to.
@@ -18,12 +22,12 @@ or bound they were verified to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import stanley
 from .partitions import (
-    classify,
+    _statistics,
     conjugate,
-    corner_parity_check,
     inner_corners,
     odd_parts_count,
     partitions_of,
@@ -372,62 +376,84 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     return reports
 
 
-def check_hook_parity(n_max: int) -> VerificationReport:
-    """t-type classification coincides with having an even number of even hooks.
+class _CombinatorialSweep(NamedTuple):
+    hook_parity: VerificationReport
+    corner_lemma: VerificationReport
+    even_counts: list[int]  # per n <= enum_bound: partitions with evenly many even hooks
+    odd_counts: list[int]  # ... and with oddly many
+    conjugation_pairing: VerificationReport
 
-    Exhaustive over all partitions of every n <= n_max; a failure records the
-    partition's index in global enumeration order.
+
+def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
+    if failure is None:
+        return VerificationReport(name, bound, True)
+    return VerificationReport(name, bound, False, *failure)
+
+
+def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> _CombinatorialSweep:
+    """One pass over every partition of n <= max(enum_bound, corner_bound).
+
+    Each partition is enumerated once, and its conjugate, odd-part counts
+    and even-hook count are computed once (``partitions._statistics``).
+    They feed hook parity, the hook counts and conjugation pairing for
+    n <= enum_bound, and the corner lemma for 1 <= n <= corner_bound. Each
+    check keeps the index and witnesses of its own first failure, so every
+    report is what that check would give in a sweep of its own.
     """
-    index = 0
-    for n in range(n_max + 1):
-        for lam in partitions_of(n):
-            stats = classify(lam)
-            if stats.is_t_type != (stats.even_hooks % 2 == 0):
-                return VerificationReport(
-                    "comb/hook-parity-equivalence",
-                    n_max,
-                    False,
-                    index,
-                    (stats.odd_parts - stats.odd_parts_conjugate) % 4,
-                    stats.even_hooks,
-                )
-            index += 1
-    return VerificationReport("comb/hook-parity-equivalence", n_max, True)
-
-
-def check_corner_lemma(n_max: int) -> VerificationReport:
-    """The corner-removal parity claim holds at every inner corner, n <= n_max."""
-    index = 0
-    for n in range(1, n_max + 1):
-        for lam in partitions_of(n):
-            for v in inner_corners(lam):
-                if not corner_parity_check(lam, v):
-                    return VerificationReport(
-                        "comb/corner-parity-lemma", n_max, False, index, v[0], v[1]
-                    )
-            index += 1
-    return VerificationReport("comb/corner-parity-lemma", n_max, True)
-
-
-def check_hook_counting(n_max: int) -> list[VerificationReport]:
-    """The three counting identities tying even-hook statistics to t, u, f.
-
-    For each n <= n_max: partitions with evenly many even hooks number t(n),
-    those with oddly many are even in number, and the signed count equals the
-    coefficient of the f product series. t(n) comes from the partition DP,
-    so this also checks the DP against exhaustive enumeration.
-    """
-    even_counts, odd_counts = [], []
-    for n in range(n_max + 1):
+    parity_failure = corner_failure = pairing_failure = None
+    even_counts: list[int] = []
+    odd_counts: list[int] = []
+    # H_e of every partition of n - 1, for the corner lemma's lambda-minus
+    previous_hooks: dict[tuple[int, ...], int] = {}
+    index = 0  # global, counting from the empty partition
+    for n in range(max(enum_bound, corner_bound) + 1):
+        enumerated = n <= enum_bound
+        corners = 1 <= n <= corner_bound
+        hooks: dict[tuple[int, ...], int] = {}
         even = odd = 0
         for lam in partitions_of(n):
-            if classify(lam).even_hooks % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-        even_counts.append(even)
-        odd_counts.append(odd)
-    f_coeffs = stanley.f_series(n_max).coeffs
+            conj, odd_parts, odd_parts_conj, even_hooks = _statistics(lam)
+            if enumerated:
+                type_mod_4 = (odd_parts - odd_parts_conj) % 4
+                if parity_failure is None and (type_mod_4 == 0) != (even_hooks % 2 == 0):
+                    parity_failure = (index, type_mod_4, even_hooks)
+                if even_hooks % 2 == 0:
+                    even += 1
+                else:
+                    odd += 1
+                # a u-type lambda needs a distinct u-type conjugate; the
+                # partner's type is read from its own conjugate, lambda''
+                if pairing_failure is None and type_mod_4 and (
+                    conj == lam or (odd_parts_conj - odd_parts_count(conjugate(conj))) % 4 == 0
+                ):
+                    pairing_failure = (index, n, None)
+            if corners and corner_failure is None:
+                for i, j in inner_corners(lam):
+                    # a corner in column 1 is the whole last row
+                    removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
+                    same_hook_parity = (even_hooks - previous_hooks[removed]) % 2 == 0
+                    same_cell_parity = (j - conj[j - 1]) % 2 == 0
+                    if same_hook_parity != same_cell_parity:
+                        corner_failure = (index - 1, i, j)  # counted from n = 1
+                        break
+            if n < corner_bound:
+                hooks[lam] = even_hooks
+            index += 1
+        if enumerated:
+            even_counts.append(even)
+            odd_counts.append(odd)
+        previous_hooks = hooks
+    return _CombinatorialSweep(
+        _report("comb/hook-parity-equivalence", enum_bound, parity_failure),
+        _report("comb/corner-parity-lemma", corner_bound, corner_failure),
+        even_counts,
+        odd_counts,
+        _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
+    )
+
+
+def _hook_counting_reports(n_max: int, sweep: _CombinatorialSweep) -> list[VerificationReport]:
+    even_counts, odd_counts = sweep.even_counts, sweep.odd_counts
     return [
         _values_equal(
             "comb/even-hook-partitions-equal-t",
@@ -445,9 +471,45 @@ def check_hook_counting(n_max: int) -> list[VerificationReport]:
             "comb/signed-hook-count-equals-f",
             n_max,
             [e - o for e, o in zip(even_counts, odd_counts)],
-            list(f_coeffs),
+            list(stanley.f_series(n_max).coeffs),
         ),
     ]
+
+
+def check_hook_parity(n_max: int) -> VerificationReport:
+    """t-type classification coincides with having an even number of even hooks.
+
+    Compares (O(lambda) - O(lambda')) % 4 == 0 with H_e(lambda) % 2 == 0 for
+    every partition of n <= n_max. A failure records the partition's index
+    in global enumeration order, from n = 0, with (O - O') % 4 and H_e as
+    witnesses. The check is one part of the shared combinatorial sweep.
+    """
+    return _combinatorial_sweep(n_max, 0).hook_parity
+
+
+def check_corner_lemma(n_max: int) -> VerificationReport:
+    """The corner-removal parity claim holds at every inner corner, n <= n_max.
+
+    At each inner corner v = (i, j) of each partition of 1 <= n <= n_max it
+    compares H_e(lambda) = H_e(lambda-) mod 2 with lambda_i = lambda'_j mod
+    2 (see ``partitions.corner_parity_check``); H_e(lambda-) is the count
+    the sweep made for lambda- at n - 1. A failure records the partition's
+    index from n = 1 and the corner (i, j). The check is one part of the
+    shared combinatorial sweep.
+    """
+    return _combinatorial_sweep(0, n_max).corner_lemma
+
+
+def check_hook_counting(n_max: int) -> list[VerificationReport]:
+    """The three counting identities tying even-hook statistics to t, u, f.
+
+    For each n <= n_max: partitions with evenly many even hooks number t(n),
+    those with oddly many are even in number, and the signed count equals the
+    coefficient of the f product series. t(n) comes from the partition DP,
+    so this also checks the DP against exhaustive enumeration. The counts
+    come from the shared combinatorial sweep.
+    """
+    return _hook_counting_reports(n_max, _combinatorial_sweep(n_max, 0))
 
 
 def check_conjugation_pairing(n_max: int) -> VerificationReport:
@@ -455,20 +517,11 @@ def check_conjugation_pairing(n_max: int) -> VerificationReport:
 
     Types are read off odd-part counts alone, without the hook grid:
     lambda is t-type when O(lambda) - O(lambda') = 0 mod 4, and its partner
-    lambda' when O(lambda') - O(lambda'') = 0 mod 4.
+    lambda' when O(lambda') - O(lambda'') = 0 mod 4. A failure records the
+    u-type partition's index from n = 0, and n. The check is one part of
+    the shared combinatorial sweep.
     """
-    index = 0
-    for n in range(n_max + 1):
-        for lam in partitions_of(n):
-            conj = conjugate(lam)
-            odd_conj = odd_parts_count(conj)
-            if (odd_parts_count(lam) - odd_conj) % 4:
-                if conj == lam or (odd_conj - odd_parts_count(conjugate(conj))) % 4 == 0:
-                    return VerificationReport(
-                        "comb/u-partitions-pair-under-conjugation", n_max, False, index, n, None
-                    )
-            index += 1
-    return VerificationReport("comb/u-partitions-pair-under-conjugation", n_max, True)
+    return _combinatorial_sweep(n_max, 0).conjugation_pairing
 
 
 def check_congruences(order: int) -> list[VerificationReport]:
@@ -566,11 +619,19 @@ def suite_series(
 def suite_combinatorial(
     enum_bound: int = DEFAULT_ENUM_BOUND, corner_bound: int = DEFAULT_CORNER_BOUND
 ) -> list[VerificationReport]:
-    """Exhaustive hook-statistic checks over all partitions up to the bounds."""
-    reports = [check_hook_parity(enum_bound), check_corner_lemma(corner_bound)]
-    reports.extend(check_hook_counting(enum_bound))
-    reports.append(check_conjugation_pairing(enum_bound))
-    return reports
+    """Exhaustive hook-statistic checks over all partitions up to the bounds.
+
+    One shared sweep enumerates each partition once and gives the reports of
+    ``check_hook_parity``, ``check_corner_lemma``, ``check_hook_counting``
+    and ``check_conjugation_pairing``, in that order, as each would alone.
+    """
+    sweep = _combinatorial_sweep(enum_bound, corner_bound)
+    return [
+        sweep.hook_parity,
+        sweep.corner_lemma,
+        *_hook_counting_reports(enum_bound, sweep),
+        sweep.conjugation_pairing,
+    ]
 
 
 def run_suite(

@@ -10,6 +10,7 @@ from stanleypf.partitions import (
     corner_parity_check,
     even_hook_count,
     hook_length,
+    hook_lengths,
     inner_corners,
     odd_parts_count,
     partitions_of,
@@ -114,6 +115,16 @@ class TestOddParts:
                 assert odd_parts_count(conjugate(lam)) % 2 == n % 2
 
 
+def _even_cells(lam):
+    """Cells with an even hook, each hook measured on its own."""
+    return sum(
+        1
+        for i, row in enumerate(lam, 1)
+        for j in range(1, row + 1)
+        if hook_length(lam, i, j) % 2 == 0
+    )
+
+
 class TestHooks:
     def test_hook_length_examples(self):
         assert hook_length((2, 1), 1, 1) == 3
@@ -134,13 +145,25 @@ class TestHooks:
     @given(random_partitions)
     @settings(max_examples=100)
     def test_even_hooks_counts_cells(self, lam):
-        direct = sum(
-            1
-            for i, row in enumerate(lam, 1)
-            for j in range(1, row + 1)
-            if hook_length(lam, i, j) % 2 == 0
-        )
-        assert even_hook_count(lam) == direct
+        assert even_hook_count(lam) == _even_cells(lam)
+
+    def test_even_hooks_counts_cells_exhaustive(self):
+        for n in range(17):
+            for lam in partitions_of(n):
+                assert even_hook_count(lam) == _even_cells(lam), lam
+
+    def test_hook_grid_examples(self):
+        assert hook_lengths((3, 2)) == [[4, 3, 1], [2, 1]]
+        assert hook_lengths((1, 1)) == [[2], [1]]
+        assert hook_lengths(()) == []
+
+    def test_hook_grid_matches_each_cell(self):
+        for n in range(13):
+            for lam in partitions_of(n):
+                assert hook_lengths(lam) == [
+                    [hook_length(lam, i, j) for j in range(1, row + 1)]
+                    for i, row in enumerate(lam, 1)
+                ]
 
 
 class TestClassify:

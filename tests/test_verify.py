@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from stanleypf import partitions, stanley
+from stanleypf import partitions, stanley, verify
 from stanleypf.series_core import TruncatedSeries
 from stanleypf.verify import (
     VerificationReport,
@@ -155,6 +157,20 @@ class TestSuites:
         reports = suite_combinatorial(enum_bound=10, corner_bound=8)
         assert all(r.passed for r in reports)
         assert len(reports) == 6
+
+    def test_combinatorial_suite_enumerates_each_partition_once(self, monkeypatch):
+        visits = Counter()
+        stream = verify.partitions_of
+
+        def counted(n):
+            for lam in stream(n):
+                visits[lam] += 1
+                yield lam
+
+        monkeypatch.setattr(verify, "partitions_of", counted)
+        assert all(r.passed for r in suite_combinatorial(25, 20))
+        assert len(visits) == 9296  # p(0) + ... + p(25)
+        assert set(visits.values()) == {1}
 
     def test_congruence_suite(self):
         assert all(r.passed for r in check_congruences(40))
