@@ -226,6 +226,40 @@ class TestEtaQuotient:
         assert got.coeffs == counts
 
 
+def _eta_by_composition(terms, order):
+    # reference construction: expand each (q^a; q^a)^|e| on its own,
+    # invert it when e < 0, and fold it in with a Cauchy product
+    result = series_one(order)
+    for scale, exponent in terms:
+        base = expand_product(ProductSpec(((-1, scale, scale, abs(exponent)),)), order)
+        if exponent < 0:
+            base = series_reciprocal(base)
+        result = series_mul(result, base)
+    return result
+
+
+eta_terms = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=8), st.integers(min_value=-3, max_value=3)),
+    max_size=4,
+)
+
+
+class TestEtaQuotientFold:
+    """eta_quotient's in-place product equals the reciprocal-and-multiply chain."""
+
+    @pytest.mark.parametrize("name", ("_T_ETA_TERMS", "_U_ETA_TERMS", "_V_ETA_TERMS"))
+    def test_paper_quotients(self, name):
+        from stanleypf import stanley
+
+        terms = getattr(stanley, name)
+        assert eta_quotient(terms, 300) == _eta_by_composition(terms, 300)
+
+    @given(eta_terms, st.integers(min_value=0, max_value=60))
+    @settings(max_examples=100)
+    def test_drawn_quotients(self, terms, order):
+        assert eta_quotient(terms, order) == _eta_by_composition(terms, order)
+
+
 class TestRingLaws:
     @given(small_series, small_series)
     @settings(max_examples=100)

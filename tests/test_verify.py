@@ -225,6 +225,52 @@ class TestFaultInjection:
         assert not reports["series/t-half-sum-vs-eta-quotient"].passed
 
 
+def _failures(reports):
+    """(check, bound, index, lhs, rhs) of every failing report."""
+    return {
+        r.check_name: (r.order_or_bound, r.first_failure_index, r.lhs_value, r.rhs_value)
+        for r in reports
+        if not r.passed
+    }
+
+
+def _with_exponent(terms, scale, exponent):
+    return tuple((a, exponent if a == scale else e) for a, e in terms)
+
+
+class TestUClosedFormFaultInjection:
+    """A planted defect in the u closed forms must trip the u checks, and
+    only them."""
+
+    def test_perturbed_u_eta_exponent(self, monkeypatch):
+        # (q^16; q^16)^-1 becomes (q^16; q^16)^-2
+        monkeypatch.setattr(stanley, "_U_ETA_TERMS", _with_exponent(stanley._U_ETA_TERMS, 16, -2))
+        assert _failures(suite_series(order=200, oracle_bound=50)) == {
+            "series/u-product-vs-enumeration": (50, 18, 302, 300),
+            "series/u-progression-0-vs-extraction": (40, 6, 410, 412),
+            "series/u-progression-1-vs-extraction": (40, 5, 310, 312),
+            "series/u-progression-2-vs-extraction": (40, 4, 300, 302),
+            "series/u-progression-3-vs-extraction": (40, 4, 300, 302),
+        }
+
+    def test_perturbed_v_eta_exponent(self, monkeypatch):
+        # V(q) feeds every progression series but not u_series itself
+        monkeypatch.setattr(stanley, "_V_ETA_TERMS", _with_exponent(stanley._V_ETA_TERMS, 4, -2))
+        assert _failures(suite_series(order=200, oracle_bound=50)) == {
+            "series/u-progression-0-vs-extraction": (40, 6, 412, 410),
+            "series/u-progression-1-vs-extraction": (40, 5, 312, 310),
+            "series/u-progression-2-vs-extraction": (40, 4, 302, 300),
+            "series/u-progression-3-vs-extraction": (40, 4, 302, 300),
+        }
+
+    def test_swapped_progression_offsets(self, monkeypatch):
+        # progression 1 given (-q^5; q^16)(-q^11; q^16), progression 3's pair
+        monkeypatch.setitem(stanley._U_PROGRESSION, 1, (1, 5, 11))
+        assert _failures(suite_series(order=200, oracle_bound=50)) == {
+            "series/u-progression-1-vs-extraction": (40, 4, 110, 112),
+        }
+
+
 def _report(name, bound, index=None, lhs=None, rhs=None):
     return VerificationReport(name, bound, index is None, index, lhs, rhs)
 
