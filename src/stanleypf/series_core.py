@@ -7,8 +7,8 @@ result to the shorter order instead of inventing coefficients.
 
 Constructors are provided for the three shapes of series that dominate
 partition-theoretic work: q-Pochhammer products (``expand_product``),
-eta-quotients (``eta_quotient``), and bilateral theta sums over a
-quadratic exponent (``expand_theta``).
+eta-quotients (``eta_quotient``, one ``expand_product`` call), and
+bilateral theta sums over a quadratic exponent (``expand_theta``).
 
 All values are immutable after construction; every function here is pure.
 """
@@ -263,16 +263,16 @@ def expand_theta(spec: ThetaSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def series_dilate(a: TruncatedSeries, m: int, max_order: int = MAX_DILATION_ORDER) -> TruncatedSeries:
+def series_dilate(a: TruncatedSeries, m: int) -> TruncatedSeries:
     """Substitute q -> q^m; the result has order a.order * m.
 
-    A dilation that would exceed max_order raises rather than silently
+    A dilation that would exceed MAX_DILATION_ORDER raises rather than silently
     capping, since a capped result would corrupt identity checks.
     """
     if m < 1:
         raise ValueError(f"dilation factor must be positive, got {m}")
-    if a.order * m > max_order:
-        raise ValueError(f"dilation to order {a.order * m} exceeds the configured maximum {max_order}")
+    if a.order * m > MAX_DILATION_ORDER:
+        raise ValueError(f"dilation to order {a.order * m} exceeds the configured maximum {MAX_DILATION_ORDER}")
     out = [0] * (a.order * m + 1)
     for k, c in enumerate(a.coeffs):
         out[k * m] = c
@@ -297,13 +297,7 @@ def extract_progression(a: TruncatedSeries, r: int, m: int) -> TruncatedSeries:
 def eta_quotient(terms: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
     """Expand prod (q^scale; q^scale)^exponent for (scale, exponent) terms.
 
-    Negative exponents go through series_reciprocal; genuine eta factors
-    have constant term 1, so the reciprocal always exists.
+    Each term is the expand_product factor (-1, scale, scale, exponent), so
+    the quotient is built in place on one coefficient list.
     """
-    result = series_one(order)
-    for scale, exponent in terms:
-        base = expand_product(ProductSpec(((-1, scale, scale, abs(exponent)),)), order)
-        if exponent < 0:
-            base = series_reciprocal(base)
-        result = series_mul(result, base)
-    return result
+    return expand_product(ProductSpec(tuple((-1, a, a, e) for a, e in terms)), order)
