@@ -226,7 +226,7 @@ class TestFaultInjection:
 
 
 def _failures(reports):
-    """(check, bound, index, lhs, rhs) of every failing report."""
+    """Check name -> (bound, index, lhs, rhs) for every failing report."""
     return {
         r.check_name: (r.order_or_bound, r.first_failure_index, r.lhs_value, r.rhs_value)
         for r in reports
