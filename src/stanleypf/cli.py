@@ -116,9 +116,15 @@ def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not a JSON object")
         if payload.get("version") != __version__ or payload.get("stat") != stat:
             return None
-        values = [int(v) for v in payload["values"]]
+        values = payload["values"]
+        # cache_store writes decimal strings; int() would truncate a float
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError("coefficients are not a list of decimal strings")
+        values = [int(v) for v in values]
         if len(values) != order + 1:
             raise ValueError("wrong number of coefficients")
         return values

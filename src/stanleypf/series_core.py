@@ -122,13 +122,6 @@ class ThetaSpec:
     alternating: bool = False
 
 
-def series_zero(order: int) -> TruncatedSeries:
-    """All-zero series of the given order."""
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    return TruncatedSeries((0,) * (order + 1))
-
-
 def series_monomial(coef: int, exp: int, order: int) -> TruncatedSeries:
     """The series coef * q^exp, truncated at the given order."""
     if order < 0:

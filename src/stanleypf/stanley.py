@@ -162,14 +162,6 @@ def t_bruteforce(n: int) -> int:
     return _enumeration_counts(n)[1]
 
 
-def u_bruteforce(n: int) -> int:
-    """u(n) = p(n) - t(n) by exhaustive enumeration."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    p, t = _enumeration_counts(n)
-    return p - t
-
-
 @dataclass(frozen=True)
 class StanleyTable:
     """Columns p, t, u, f for 0..max_n, with their provenance.

@@ -22,7 +22,7 @@ or bound they were verified to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import stanley
 from .partitions import (
@@ -43,6 +43,7 @@ from .series_core import (
     series_monomial,
     series_mul,
     series_reciprocal,
+    series_truncate,
 )
 
 DEFAULT_ORDER = 200
@@ -95,14 +96,10 @@ def assert_series_equal(name: str, a: TruncatedSeries, b: TruncatedSeries) -> Ve
     Disagreement is data, not an exception: the report carries the smallest
     failing index and both witness coefficients.
     """
-    bound = min(a.order, b.order)
-    for k in range(bound + 1):
-        if a.coeffs[k] != b.coeffs[k]:
-            return VerificationReport(name, bound, False, k, a.coeffs[k], b.coeffs[k])
-    return VerificationReport(name, bound, True)
+    return _values_equal(name, min(a.order, b.order), a.coeffs, b.coeffs)
 
 
-def _values_equal(name: str, bound: int, lhs: list[int], rhs: list[int]) -> VerificationReport:
+def _values_equal(name: str, bound: int, lhs: Sequence[int], rhs: Sequence[int]) -> VerificationReport:
     for k, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return VerificationReport(name, bound, False, k, a, b)
@@ -153,8 +150,10 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     """Verify every displayed rewriting used to derive the u(n) closed forms.
 
     Both sides of each step are constructed from primitive expansions, never
-    from the higher-level series under test. Requires order >= 8 so every
-    step has nontrivial content.
+    from the higher-level series under test. A product or theta sum that
+    several steps read is expanded once and named; no step reads the same
+    named value on both of its sides. Requires order >= 8 so every step has
+    nontrivial content.
     """
     if order < 8:
         raise ValueError(f"proof steps need order >= 8, got {order}")
@@ -169,6 +168,15 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     )
     p_gf = series_reciprocal(_prod(n, (-1, 1, 1, 1)))
     f_gf = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2))
+    # p's odd/even split: (-q; q^2) / ( (q^4; q^4) (q^2; q^4)^2 )
+    p_split = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2))
+    # the common denominator of the two half quotients
+    common_denominator = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2))
+    # triple products of sum q^{2n^2} and its alternating twin
+    theta_plus_product = _prod(n, (-1, 4, 4, 1), (1, 2, 4, 2))
+    theta_alt_product = _prod(n, (-1, 4, 4, 1), (-1, 2, 4, 2))
+    neg_sixteen = _prod(n, (1, 16, 16, 1))  # (-q^16; q^16)
+    even_eta_over_eta = _prod(n, (-1, 2, 2, 2), (-1, 1, 1, -1))  # (q^2)^2 / (q)
 
     # V(q) at an order whose 4-fold dilation covers n
     v_q = _prod((n + 3) // 4, (-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1))
@@ -180,37 +188,26 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     theta_8nn = _theta(n, 8, 8, 0)
     theta_tri = _theta(n, 2, -1, 0)            # sum q^{2n^2 - n}
     theta_32jj = _theta(n, 32, -4, 0)
+    # sum q^{2n^2 - n} with n split over its residues mod 4
+    theta_residues = theta_32jj + _theta(n, 32, 12, 1) + _theta(n, 32, 28, 6) + _theta(n, 32, 44, 15)
     tri_one_sided = _triangular(n, bilateral=False)
     tri_bilateral = _triangular(n, bilateral=True)
+    odd_square_quotient = series_mul(common_denominator, theta_odd_sq)
 
     reports = [
         # 1/(q;q) rewritten over the mod-4 classes of exponents
-        assert_series_equal(
-            "proof/p-gf-odd-even-quotient",
-            p_gf,
-            _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2)),
-        ),
+        assert_series_equal("proof/p-gf-odd-even-quotient", p_gf, p_split),
         # twice the closed form equals p - f
         assert_series_equal("proof/u-doubled-is-p-minus-f", 2 * u_closed, p_gf - f_gf),
         # the two half quotients combine over a common denominator
         assert_series_equal(
             "proof/u-difference-single-quotient",
-            _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2))
-            - _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2)),
-            series_mul(
-                _prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2)),
-                _prod(n, (-1, 4, 4, 1), (1, 2, 4, 2)) - _prod(n, (-1, 4, 4, 1), (-1, 2, 4, 2)),
-            ),
+            p_split - f_gf,
+            series_mul(common_denominator, theta_plus_product - theta_alt_product),
         ),
         # sum q^{2n^2} and its alternating twin as triple products
-        assert_series_equal(
-            "proof/theta-even-squares-plus", theta_plus, _prod(n, (-1, 4, 4, 1), (1, 2, 4, 2))
-        ),
-        assert_series_equal(
-            "proof/theta-even-squares-alternating",
-            theta_alt,
-            _prod(n, (-1, 4, 4, 1), (-1, 2, 4, 2)),
-        ),
+        assert_series_equal("proof/theta-even-squares-plus", theta_plus, theta_plus_product),
+        assert_series_equal("proof/theta-even-squares-alternating", theta_alt, theta_alt_product),
         # their difference doubles the odd-square subsum
         assert_series_equal(
             "proof/theta-difference-doubles-odd-squares",
@@ -218,21 +215,11 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
             2 * theta_odd_sq,
         ),
         # u written as a single theta quotient
-        assert_series_equal(
-            "proof/u-as-odd-square-theta-quotient",
-            u_closed,
-            series_mul(
-                _prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2)),
-                theta_odd_sq,
-            ),
-        ),
+        assert_series_equal("proof/u-as-odd-square-theta-quotient", u_closed, odd_square_quotient),
         # pulling q^2 out of the odd-square theta
         assert_series_equal(
             "proof/u-theta-shift-rewrite",
-            series_mul(
-                _prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2)),
-                theta_odd_sq,
-            ),
+            odd_square_quotient,
             series_mul(
                 q2,
                 series_mul(_prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 4, 8, -2)), theta_8nn),
@@ -246,9 +233,7 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
         ),
         # (-1; q^16) = 2 (-q^16; q^16)
         assert_series_equal(
-            "proof/neg-one-pochhammer-doubling",
-            _prod(n, (1, 0, 16, 1)),
-            2 * _prod(n, (1, 16, 16, 1)),
+            "proof/neg-one-pochhammer-doubling", _prod(n, (1, 0, 16, 1)), 2 * neg_sixteen
         ),
         # resolving the theta gives the doubled sixteen block ...
         assert_series_equal(
@@ -283,22 +268,19 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
         ),
         assert_series_equal(
             "proof/neg-sixteen-pochhammer-eta-ratio",
-            _prod(n, (1, 16, 16, 1)),
+            neg_sixteen,
             _prod(n, (-1, 32, 32, 1), (-1, 16, 16, -1)),
         ),
         # u factored through V(q^4)
         assert_series_equal(
             "proof/u-as-v-at-q4",
             u_closed,
-            series_mul(
-                series_monomial(2, 2, n),
-                series_mul(_prod(n, (-1, 2, 2, 2), (-1, 1, 1, -1)), v_q4),
-            ),
+            series_mul(series_monomial(2, 2, n), series_mul(even_eta_over_eta, v_q4)),
         ),
         # (q^2)^2/(q) = (q^2)/(q; q^2)
         assert_series_equal(
             "proof/even-pochhammer-split",
-            _prod(n, (-1, 2, 2, 2), (-1, 1, 1, -1)),
+            even_eta_over_eta,
             _prod(n, (-1, 2, 2, 1), (-1, 1, 2, -1)),
         ),
         # Euler: 1/(q; q^2) = (-q; q)
@@ -333,22 +315,11 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
             series_mul(series_monomial(2, 2, n), series_mul(tri_one_sided, v_q4)),
         ),
         # splitting the theta index over residues mod 4
-        assert_series_equal(
-            "proof/theta-residue-split-mod-four",
-            theta_tri,
-            _theta(n, 32, -4, 0) + _theta(n, 32, 12, 1) + _theta(n, 32, 28, 6) + _theta(n, 32, 44, 15),
-        ),
+        assert_series_equal("proof/theta-residue-split-mod-four", theta_tri, theta_residues),
         assert_series_equal(
             "proof/u-as-residue-split-sum",
             u_closed,
-            series_mul(
-                series_monomial(2, 2, n),
-                series_mul(
-                    _theta(n, 32, -4, 0) + _theta(n, 32, 12, 1)
-                    + _theta(n, 32, 28, 6) + _theta(n, 32, 44, 15),
-                    v_q4,
-                ),
-            ),
+            series_mul(series_monomial(2, 2, n), series_mul(theta_residues, v_q4)),
         ),
         # extracting the q^{4j+2} terms isolates one residue theta
         assert_series_equal(
@@ -557,35 +528,32 @@ def check_congruences(order: int) -> list[VerificationReport]:
 
 
 def suite_series(
-    order: int = DEFAULT_ORDER,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-    progression_bound: int = DEFAULT_PROGRESSION_BOUND,
-    jtp_max_k: int = DEFAULT_JTP_MAX_K,
+    order: int = DEFAULT_ORDER, oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> list[VerificationReport]:
     """Series-level checks: the partition-DP oracle to oracle_bound,
     closed-form agreement, progression extraction, and the triple-product
-    family."""
+    family.
+
+    The closed forms for t and u are expanded once, to the larger of order
+    and oracle_bound, and every check compares them by prefix, to the
+    shorter order of its two sides."""
     dp_table = stanley.table_from_dp(oracle_bound)
+    top = max(order, oracle_bound, 2)
+    t_andrews = stanley.t_series_andrews(top)
+    t_half_sum = stanley.t_series_half_sum(top)
+    u = stanley.u_series(top)
     reports = [
         assert_series_equal(
             "series/p-series-vs-partition-count",
             TruncatedSeries(dp_table.p[: min(40, oracle_bound) + 1]),
             stanley.p_series(min(40, oracle_bound)),
         ),
+        assert_series_equal("series/u-product-vs-enumeration", u, TruncatedSeries(dp_table.u)),
         assert_series_equal(
-            "series/u-product-vs-enumeration",
-            stanley.u_series(max(oracle_bound, 2)),
-            TruncatedSeries(dp_table.u),
+            "series/t-eta-quotient-vs-enumeration", t_andrews, TruncatedSeries(dp_table.t)
         ),
         assert_series_equal(
-            "series/t-eta-quotient-vs-enumeration",
-            stanley.t_series_andrews(oracle_bound),
-            TruncatedSeries(dp_table.t),
-        ),
-        assert_series_equal(
-            "series/t-half-sum-vs-enumeration",
-            stanley.t_series_half_sum(oracle_bound),
-            TruncatedSeries(dp_table.t),
+            "series/t-half-sum-vs-enumeration", t_half_sum, TruncatedSeries(dp_table.t)
         ),
         assert_series_equal(
             "series/f-product-vs-enumeration",
@@ -594,23 +562,22 @@ def suite_series(
         ),
         assert_series_equal(
             "series/t-half-sum-vs-eta-quotient",
-            stanley.t_series_half_sum(order),
-            stanley.t_series_andrews(order),
+            series_truncate(t_half_sum, order),
+            series_truncate(t_andrews, order),
         ),
     ]
     # the i=0 progression carries a q^2 prefactor, so it needs order >= 2
-    n_prog = min(progression_bound, (order - 3) // 4)
+    n_prog = min(DEFAULT_PROGRESSION_BOUND, (order - 3) // 4)
     if n_prog >= 2:
-        u_full = stanley.u_series(4 * n_prog + 3)
         for i in range(4):
             reports.append(
                 assert_series_equal(
                     f"series/u-progression-{i}-vs-extraction",
                     stanley.u_progression_series(i, n_prog),
-                    extract_progression(u_full, i, 4),
+                    extract_progression(u, i, 4),
                 )
             )
-    for k in range(jtp_max_k + 1):
+    for k in range(DEFAULT_JTP_MAX_K + 1):
         for sign in (1, -1):
             reports.append(check_jtp(k, sign, order))
     return reports

@@ -282,6 +282,23 @@ class TestCache:
         assert cache_load(str(tmp_path), "t", 4) is None
         assert "corrupt cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ([1, 2], "x", None))
+    def test_payload_not_an_object_is_corrupt(self, tmp_path, capsys, payload):
+        path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert cache_load(str(tmp_path), "t", 4) is None
+        assert "corrupt cache" in capsys.readouterr().err
+
+    def test_non_string_value_is_corrupt(self, tmp_path, capsys):
+        # cache_store writes decimal strings; a number would be truncated by int()
+        path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
+        payload = json.load(open(path))
+        payload["values"][3] = 41.9
+        json.dump(payload, open(path, "w"))
+        assert cache_load(str(tmp_path), "t", 4) is None
+        assert "corrupt cache" in capsys.readouterr().err
+
     def test_stale_version_ignored(self, tmp_path):
         path = cache_store(str(tmp_path), "t", 4, [9, 9, 9, 9, 9])
         payload = json.load(open(path))

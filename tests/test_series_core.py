@@ -18,7 +18,6 @@ from stanleypf.series_core import (
     series_one,
     series_reciprocal,
     series_truncate,
-    series_zero,
 )
 
 QQ = ProductSpec(((-1, 1, 1, 1),))  # (q; q)
@@ -38,18 +37,6 @@ unit_series = st.tuples(
 
 
 class TestConstructors:
-    def test_zero(self):
-        assert series_zero(3).coeffs == (0, 0, 0, 0)
-        assert series_zero(0).coeffs == (0,)
-
-    def test_zero_is_additive_identity(self):
-        s = series(4, -1, 7, 0, 2, 9)
-        assert series_add(series_zero(5), s) == s
-
-    def test_zero_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            series_zero(-1)
-
     def test_monomial(self):
         assert series_monomial(2, 2, 4).coeffs == (0, 0, 2, 0, 0)
         assert series_monomial(1, 0, 2).coeffs == (1, 0, 0)
@@ -190,7 +177,7 @@ class TestDilateExtract:
 
     def test_dilate_overflow_is_an_error(self):
         with pytest.raises(ValueError, match="exceeds"):
-            series_dilate(series_zero(MAX_DILATION_ORDER // 2 + 1), 2)
+            series_dilate(TruncatedSeries((0,) * (MAX_DILATION_ORDER // 2 + 2)), 2)
 
     def test_extract_identity(self):
         assert extract_progression(series(5, 6, 7, 8, 9), 0, 1).coeffs == (5, 6, 7, 8, 9)

@@ -26,13 +26,11 @@ class TestBruteForce:
         assert stanley.t_bruteforce(4) == 5
 
     def test_u_spot_values(self):
-        assert stanley.u_bruteforce(2) == 2
-        assert stanley.u_bruteforce(3) == 2
-        assert stanley.u_bruteforce(4) == 0
+        assert stanley.table_from_enumeration(20).u[2:5] == (2, 2, 0)
 
     def test_frozen_prefix(self):
         assert tuple(stanley.t_bruteforce(n) for n in range(21)) == BRUTE_T
-        assert tuple(stanley.u_bruteforce(n) for n in range(21)) == BRUTE_U
+        assert stanley.table_from_enumeration(20).u == BRUTE_U
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

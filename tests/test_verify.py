@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from stanleypf import partitions, stanley, verify
+from stanleypf import partitions, series_core, stanley, verify
 from stanleypf.series_core import TruncatedSeries
 from stanleypf.verify import (
     VerificationReport,
@@ -94,6 +94,78 @@ class TestProofSteps:
         names = [r.check_name for r in check_proof_steps(8)]
         assert len(set(names)) == len(names)
 
+    def test_each_expansion_built_once(self, monkeypatch):
+        # a product or theta sum that several steps read is expanded once
+        built = []
+        real_prod, real_theta = verify._prod, verify._theta
+
+        def prod(order, *factors):
+            built.append(("prod", order, factors))
+            return real_prod(order, *factors)
+
+        def theta(order, a, b, c, alternating=False):
+            built.append(("theta", order, (a, b, c, alternating)))
+            return real_theta(order, a, b, c, alternating)
+
+        monkeypatch.setattr(verify, "_prod", prod)
+        monkeypatch.setattr(verify, "_theta", theta)
+        check_proof_steps(100)
+        assert [key for key, seen in Counter(built).items() if seen > 1] == []
+
+
+def _proof_step_products(order):
+    """The (order, factors) of every _prod call in check_proof_steps, in call order."""
+    calls = []
+    real = verify._prod
+
+    def recording(n, *factors):
+        calls.append((n, factors))
+        return real(n, *factors)
+
+    verify._prod = recording
+    try:
+        check_proof_steps(order)
+    finally:
+        verify._prod = real
+    return calls
+
+
+class TestProofStepMutations:
+    """Every factor of every product in the proof steps must matter: one more
+    power of any one factor must fail some step."""
+
+    ORDER = 100
+
+    def test_every_factor_reaches_its_truncation(self):
+        # a factor whose first term lies past its call's order is truncated
+        # away, and no mutation of it could be seen
+        for order, factors in _proof_step_products(self.ORDER):
+            for sign, offset, step, exponent in factors:
+                assert (offset or step) <= order, (order, factors)
+
+    def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
+        calls = _proof_step_products(self.ORDER)
+        real = verify._prod
+        missed = []
+        for target, (_, factors) in enumerate(calls):
+            for k, (sign, offset, step, exponent) in enumerate(factors):
+                mutated = list(factors)
+                mutated[k] = (sign, offset, step, exponent + (1 if exponent > 0 else -1))
+                seen = iter(range(len(calls)))
+
+                def mutant(n, *fs, mutated=tuple(mutated), seen=seen, target=target):
+                    return real(n, *(mutated if next(seen) == target else fs))
+
+                monkeypatch.setattr(verify, "_prod", mutant)
+                try:
+                    reports = check_proof_steps(self.ORDER)
+                except ValueError:
+                    continue
+                if all(r.passed for r in reports):
+                    missed.append((target, factors, k))
+        assert sum(len(factors) for _, factors in calls) == 74
+        assert missed == []
+
 
 class TestCombinatorialChecks:
     def test_hook_parity(self):
@@ -139,12 +211,38 @@ class TestCongruences:
 
 class TestSuites:
     def test_series_suite_small_bounds(self):
-        reports = suite_series(order=40, oracle_bound=12, progression_bound=5, jtp_max_k=2)
+        reports = suite_series(order=40, oracle_bound=12)
         assert all(r.passed for r in reports)
         names = [r.check_name for r in reports]
         assert "series/u-product-vs-enumeration" in names
         assert "series/t-half-sum-vs-eta-quotient" in names
         assert "series/u-progression-3-vs-extraction" in names
+
+    def test_series_suite_expands_each_closed_form_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("t_series_andrews", "t_series_half_sum", "u_series"):
+            real = getattr(stanley, name)
+
+            def counted(order, name=name, real=real):
+                calls[name] += 1
+                return real(order)
+
+            monkeypatch.setattr(stanley, name, counted)
+        assert all(r.passed for r in suite_series(order=200, oracle_bound=50))
+        assert calls == {"t_series_andrews": 1, "t_series_half_sum": 1, "u_series": 1}
+
+    def test_suite_all_product_expansions(self, monkeypatch):
+        calls = []
+        real = series_core.expand_product
+
+        def counted(spec, order):
+            calls.append(order)
+            return real(spec, order)
+
+        for module in (series_core, stanley, verify):
+            monkeypatch.setattr(module, "expand_product", counted)
+        assert all(r.passed for r in run_suite("all", 200, 25, 50))
+        assert len(calls) <= 70
 
     def test_series_suite_dp_oracle_to_three_hundred(self):
         reports = suite_series(order=300, oracle_bound=300)
@@ -187,7 +285,7 @@ class TestSuites:
 
 
 def _series_reports(**bounds):
-    reports = suite_series(order=40, progression_bound=5, jtp_max_k=0, **bounds)
+    reports = suite_series(order=40, **bounds)
     return {r.check_name: r for r in reports}
 
 
