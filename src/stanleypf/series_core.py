@@ -10,6 +10,11 @@ partition-theoretic work: q-Pochhammer products (``expand_product``),
 eta-quotients (``eta_quotient``, one ``expand_product`` call), and
 bilateral theta sums over a quadratic exponent (``expand_theta``).
 
+``expand_product`` has two paths, chosen by each factor's shape. An eta
+factor (q^a; q^a)^e is applied as its sparse pentagonal series |e| times,
+O(n sqrt(n/a)) to order n. Every other factor (q^offset; q^step)^e is
+applied one binomial at a time, O(n^2/step) for each unit of |e|.
+
 All values are immutable after construction; every function here is pure.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add, sub
 from typing import Iterable
 
 #: Dilations may not push a series beyond this order; raising instead of
@@ -200,13 +206,59 @@ def _div_binomial(c: list[int], k: int, sign: int) -> None:
             c[i] -= sign * c[i - k]
 
 
+def _pentagonal_terms(step: int, order: int) -> list[tuple[int, int]]:
+    """(q^step; q^step) - 1 as ascending (exponent, sign) pairs up to order.
+
+    Euler's pentagonal number theorem: (q; q) = sum over all integers k of
+    (-1)^k q^(k(3k-1)/2), so k and -k share the sign (-1)^k and give the
+    exponents k(3k-1)/2 and k(3k+1)/2.
+    """
+    terms = []
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= order:
+        sign = -1 if k & 1 else 1
+        for e in (step * k * (3 * k - 1) // 2, step * k * (3 * k + 1) // 2):
+            if e <= order:
+                terms.append((e, sign))
+        k += 1
+    return terms
+
+
+def _mul_sparse(c: list[int], terms: list[tuple[int, int]]) -> None:
+    # c *= (1 + sum sign*q^k), in place; every term reads the unmultiplied c
+    old = c[:]
+    n = len(c)
+    for k, sign in terms:
+        c[k:] = map(add if sign > 0 else sub, c[k:], old[: n - k])
+
+
+def _div_sparse(c: list[int], terms: list[tuple[int, int]]) -> None:
+    # c /= (1 + sum sign*q^k), in place; ascending so every c[i-k] is already the quotient
+    for i in range(1, len(c)):
+        acc = c[i]
+        for k, sign in terms:
+            if k > i:
+                break
+            if sign > 0:
+                acc -= c[i - k]
+            else:
+                acc += c[i - k]
+        c[i] = acc
+
+
 def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Expand a q-Pochhammer product exactly to the given order.
 
-    Binomials whose exponent exceeds the order contribute nothing and are
-    skipped. Negative factor exponents divide instead of multiplying, which
-    stays in integer arithmetic because every admissible factor has constant
-    term 1. The offset-0 factor (-1; q^step) contributes the constant 2.
+    An eta factor, sign -1 with offset == step, is (q^a; q^a)^e with a =
+    step. It is applied as the sparse series of (q^a; q^a), which has
+    O(sqrt(order/a)) terms by Euler's pentagonal number theorem, |e| times:
+    O(order sqrt(order/a)) per unit of |e|. Every other factor is applied
+    one binomial (1 + sign*q^k) at a time, O(order) each, so O(order^2/step)
+    per unit of |e|. Binomials and terms whose exponent exceeds the order
+    contribute nothing and are skipped. Negative factor exponents divide
+    instead of multiplying, which stays in integer arithmetic because every
+    admissible factor has constant term 1. The offset-0 factor
+    (-1; q^step) contributes the constant 2.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
@@ -215,6 +267,12 @@ def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
     c[0] = 1
     for sign, offset, step, exponent in spec.factors:
         if exponent == 0:
+            continue
+        if sign == -1 and offset == step:
+            terms = _pentagonal_terms(step, order)
+            apply_sparse = _mul_sparse if exponent > 0 else _div_sparse
+            for _ in range(abs(exponent)):
+                apply_sparse(c, terms)
             continue
         start = offset
         if offset == 0:
@@ -290,7 +348,8 @@ def extract_progression(a: TruncatedSeries, r: int, m: int) -> TruncatedSeries:
 def eta_quotient(terms: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
     """Expand prod (q^scale; q^scale)^exponent for (scale, exponent) terms.
 
-    Each term is the expand_product factor (-1, scale, scale, exponent), so
-    the quotient is built in place on one coefficient list.
+    Each term is the expand_product factor (-1, scale, scale, exponent), an
+    eta factor, so the quotient is built in place on one coefficient list
+    from sparse pentagonal series.
     """
     return expand_product(ProductSpec(tuple((-1, a, a, e) for a, e in terms)), order)

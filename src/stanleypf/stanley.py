@@ -41,7 +41,6 @@ from .series_core import (
     series_add,
     series_monomial,
     series_mul,
-    series_reciprocal,
 )
 
 SOURCE_ENUMERATION = "enumeration"
@@ -78,8 +77,12 @@ class IdentityError(ValueError):
 
 
 def p_series(order: int) -> TruncatedSeries:
-    """Partition numbers p(n) as the expansion of 1/(q; q)."""
-    return series_reciprocal(expand_product(ProductSpec(((-1, 1, 1, 1),)), order))
+    """Partition numbers p(n) as the expansion of 1/(q; q).
+
+    Dividing by the pentagonal series of (q; q) is Euler's recurrence
+    p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    """
+    return eta_quotient(((1, -1),), order)
 
 
 def f_series(order: int) -> TruncatedSeries:
@@ -87,12 +90,24 @@ def f_series(order: int) -> TruncatedSeries:
     return expand_product(_F_SPEC, order)
 
 
+class HalvingError(IdentityError):
+    """An odd coefficient stopped an exact halving.
+
+    ``halved`` holds the exact halves of the coefficients below it, so its
+    length is the exponent of the odd coefficient.
+    """
+
+    def __init__(self, message: str, halved: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.halved = halved
+
+
 def _halve_exactly(s: TruncatedSeries) -> TruncatedSeries:
     halved = []
     for k, c in enumerate(s.coeffs):
         q, rem = divmod(c, 2)
         if rem:
-            raise IdentityError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly")
+            raise HalvingError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly", tuple(halved))
         halved.append(q)
     return TruncatedSeries(tuple(halved))
 
@@ -101,7 +116,7 @@ def t_series_half_sum(order: int) -> TruncatedSeries:
     """t(n) as (p(n) + f(n)) / 2, with exact halving.
 
     An odd coefficient sum would mean either an implementation bug or a
-    falsified identity, so it raises instead of rounding.
+    falsified identity, so it raises HalvingError instead of rounding.
     """
     return _halve_exactly(series_add(p_series(order), f_series(order)))
 

@@ -148,7 +148,9 @@ class TestVerifyCommand:
 
     def test_internal_identity_failure_exits_one(self, capsys, monkeypatch):
         # one f coefficient off by one makes p + f odd there, so the exact
-        # halving behind t = (p + f) / 2 fails: a defect, not a usage error
+        # halving behind t = (p + f) / 2 fails: a defect, not a usage error.
+        # Each check that reads the half-sum t fails at that index with no
+        # lhs value, and every other check still reports.
         real_f_series = stanley.f_series
 
         def off_by_one(order):
@@ -160,8 +162,13 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "series", "--order", "40",
                              "--oracle-bound", "12")
         assert code == 1
-        assert out == ""
-        assert err == "error: coefficient 11 of q^5 is odd and cannot be halved exactly\n"
+        assert err == ""
+        assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+            "FAIL series/f-product-vs-enumeration: first mismatch at index 5 (lhs=4, rhs=3, bound=12)",
+            "FAIL series/t-half-sum-vs-enumeration: first mismatch at index 5 (lhs=None, rhs=5, bound=12)",
+            "FAIL series/t-half-sum-vs-eta-quotient: first mismatch at index 5 (lhs=None, rhs=5, bound=40)",
+            "32 checks: 29 passed, 3 failed",
+        ]
 
     def test_bfile_format_rejected(self, capsys, monkeypatch):
         from stanleypf import verify

@@ -247,6 +247,76 @@ class TestEtaQuotientFold:
         assert eta_quotient(terms, order) == _eta_by_composition(terms, order)
 
 
+def _dense_product(factors, order):
+    # the product kernel without its sparse path: every factor, eta factors
+    # included, applied one binomial (1 + sign*q^k) at a time
+    c = [0] * (order + 1)
+    c[0] = 1
+    for sign, offset, step, exponent in factors:
+        if exponent == 0:
+            continue
+        if offset == 0:
+            c = [x * 2**exponent for x in c]
+        for k in range(offset or step, order + 1, step):
+            for _ in range(abs(exponent)):
+                if exponent > 0:
+                    for i in range(order, k - 1, -1):
+                        c[i] += sign * c[i - k]
+                else:
+                    for i in range(k, order + 1):
+                        c[i] -= sign * c[i - k]
+    return tuple(c)
+
+
+eta_factors = st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=-6, max_value=6)).map(
+    lambda t: (-1, t[0], t[0], t[1])
+)
+other_factors = st.one_of(
+    st.tuples(
+        st.sampled_from((1, -1)),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=-2, max_value=2),
+    ),
+    st.tuples(st.just(1), st.just(0), st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2)),
+)
+
+
+class TestSparseEtaPath:
+    """expand_product's sparse pentagonal eta factors equal the dense
+    binomial passes they replace."""
+
+    @given(
+        st.lists(st.one_of(eta_factors, other_factors), max_size=4),
+        st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_products(self, factors, order):
+        assert expand_product(ProductSpec(tuple(factors)), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("scale", (1, 3, 40))
+    @pytest.mark.parametrize("exponent", (-6, -1, 1, 6))
+    def test_order_below_scale(self, scale, exponent):
+        # no term of (q^a; q^a) lies below q^a, so the factor is the unit
+        order = scale - 1
+        got = expand_product(ProductSpec(((-1, scale, scale, exponent),)), order)
+        assert got.coeffs == (1,) + (0,) * order == _dense_product(((-1, scale, scale, exponent),), order)
+
+    @pytest.mark.parametrize("scale", (1, 2, 7))
+    @pytest.mark.parametrize("k", (1, -1, 2, -2, 5, -5))
+    @pytest.mark.parametrize("exponent", (-2, 1, 3))
+    def test_order_on_a_generalized_pentagonal_number(self, scale, k, exponent):
+        # the last retained term is exactly one of (q^a; q^a)'s own
+        order = scale * k * (3 * k - 1) // 2
+        factors = ((-1, scale, scale, exponent), (1, 1, 2, 1))
+        assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("scale", (1, 4))
+    def test_zero_exponent_is_the_unit(self, scale):
+        spec = ProductSpec(((-1, scale, scale, 0), (1, 2, 4, 0)))
+        assert expand_product(spec, 30).coeffs == (1,) + (0,) * 30
+
+
 class TestRingLaws:
     @given(small_series, small_series)
     @settings(max_examples=100)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import BRUTE_F, BRUTE_T, BRUTE_U, pentagonal_partition_numbers
@@ -112,6 +114,23 @@ class TestProgressions:
     def test_bad_residue(self):
         with pytest.raises(ValueError):
             stanley.u_progression_series(4, 10)
+
+
+# sha256 of repr(coeffs) at order 2000, recorded from the dense binomial
+# kernel, before eta factors took the sparse pentagonal path
+ORDER_2000_DIGESTS = {
+    "p_series": "b085b55a65538a3bb5d713d8872d58b2e9a0542f178611898b2fcbc292e72e72",
+    "t_series_andrews": "7afc2a1a38ed896396d695c52d414995565ced119176d429f6fd969a9280e8fe",
+    "u_series": "16b6f671bd3d5b95687983e8d833e2396e9eca64f4f794208e815ad2b5aa0e01",
+    "f_series": "736c7e06a3894de5d1616db5c047023e381aec8072178433e8c00271e67117b7",
+    "v_series": "be996488e3814ebed3f508c63e90e66e74cfe2f5c95d1bbca5fcf2611dd15f5b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_2000_DIGESTS))
+def test_coefficients_at_order_2000_are_pinned(name):
+    coeffs = getattr(stanley, name)(2000).coeffs
+    assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == ORDER_2000_DIGESTS[name]
 
 
 class TestStanleyTable:

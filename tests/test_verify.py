@@ -167,6 +167,39 @@ class TestProofStepMutations:
         assert missed == []
 
 
+def _one_more_power(exponent):
+    return exponent + (1 if exponent > 0 else -1)
+
+
+def _closed_form_mutations():
+    """(table name, mutated table) for one more power of each factor of
+    the t, u and V eta quotients and the f product."""
+    for name in ("_T_ETA_TERMS", "_U_ETA_TERMS", "_V_ETA_TERMS"):
+        terms = getattr(stanley, name)
+        for k, (scale, exponent) in enumerate(terms):
+            yield name, terms[:k] + ((scale, _one_more_power(exponent)),) + terms[k + 1:]
+    factors = stanley._F_SPEC.factors
+    for k, (sign, offset, step, exponent) in enumerate(factors):
+        mutated = factors[:k] + ((sign, offset, step, _one_more_power(exponent)),) + factors[k + 1:]
+        yield "_F_SPEC", series_core.ProductSpec(mutated)
+
+
+class TestClosedFormMutations:
+    """Every factor of every closed form must matter: one more power of any
+    one factor must fail some series check."""
+
+    def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
+        mutations = list(_closed_form_mutations())
+        missed = []
+        for name, mutated in mutations:
+            with monkeypatch.context() as m:
+                m.setattr(stanley, name, mutated)
+                if all(r.passed for r in suite_series(200, 50)):
+                    missed.append((name, mutated))
+        assert len(mutations) == 18
+        assert missed == []
+
+
 class TestCombinatorialChecks:
     def test_hook_parity(self):
         assert check_hook_parity(12).passed
@@ -321,6 +354,44 @@ class TestFaultInjection:
         assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (16, 186, 185, 20)
         assert reports["series/t-half-sum-vs-enumeration"].passed
         assert not reports["series/t-half-sum-vs-eta-quotient"].passed
+
+
+class TestHalfSumFaultInjection:
+    """An odd p(n) + f(n) fails the checks that read the half-sum t, and
+    only them, at their first mismatch."""
+
+    @pytest.fixture
+    def perturb_f(self, monkeypatch):
+        real = stanley.f_series
+
+        def plant(shifts):
+            def perturbed(order):
+                coeffs = list(real(order).coeffs)
+                for k, delta in shifts.items():
+                    if k <= order:
+                        coeffs[k] += delta
+                return TruncatedSeries(tuple(coeffs))
+
+            monkeypatch.setattr(stanley, "f_series", perturbed)
+
+        return plant
+
+    def test_even_error_before_the_odd_coefficient(self, perturb_f):
+        # f(3) + 2 keeps p(3) + f(3) even but halves to t(3) + 1 = 2; the
+        # odd sum at q^5 lies past the first mismatch
+        perturb_f({3: 2, 5: 1})
+        assert _failures(suite_series(order=40, oracle_bound=12)) == {
+            "series/f-product-vs-enumeration": (12, 3, 1, -1),
+            "series/t-half-sum-vs-enumeration": (12, 3, 2, 1),
+            "series/t-half-sum-vs-eta-quotient": (40, 3, 2, 1),
+        }
+
+    def test_odd_coefficient_past_the_oracle_bound(self, perturb_f):
+        # q^30 lies beyond the DP oracle's n <= 12 but within order 40
+        perturb_f({30: 1})
+        assert _failures(suite_series(order=40, oracle_bound=12)) == {
+            "series/t-half-sum-vs-eta-quotient": (40, 30, None, stanley.t_series_andrews(30)[30]),
+        }
 
 
 def _failures(reports):
