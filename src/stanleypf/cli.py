@@ -32,6 +32,7 @@ EXIT_IO = 3
 
 CACHE_ENV_VAR = "STANLEYPF_CACHE"
 PARTITION_LISTING_CAP = 30  # p(30) = 5604 lines is the useful terminal ceiling
+BRUTE_FORCE_CAP = 70  # table --oracle enumerates every partition of n <= --max
 JSON_SAFE_MAGNITUDE = 2**53
 
 STATS = ("p", "t", "u", "f")
@@ -393,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"--oracle enumeration is capped at --oracle-bound {config.oracle_bound}; "
                 f"raise it to table {args.max_n} by brute force"
             )
+        if command == "table" and args.oracle and args.max_n > BRUTE_FORCE_CAP:
+            raise UsageError(f"--oracle enumeration is capped at --max {BRUTE_FORCE_CAP}")
         if command == "partition":
             if args.n < 0:
                 raise UsageError("--n must be nonnegative")

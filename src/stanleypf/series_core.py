@@ -15,14 +15,21 @@ factor (q^a; q^a)^e is applied as its sparse pentagonal series |e| times,
 O(n sqrt(n/a)) to order n. Every other factor (q^offset; q^step)^e is
 applied one binomial at a time, O(n^2/step) for each unit of |e|.
 
+The dense passes, each binomial and each row of a Cauchy product
+(``series_mul``), run as whole-slice ``operator`` maps, so their
+per-coefficient loops run in C. They add zero coefficients too, where a
+Python loop would skip them; what is left of their cost is big-integer
+arithmetic.
+
 All values are immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 #: Dilations may not push a series beyond this order; raising instead of
@@ -151,15 +158,19 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated to the shorter order."""
+    """Cauchy product, truncated to the shorter order.
+
+    Each nonzero coefficient x of a at q^i adds x times b into the result
+    from q^i on, as one slice map: O(n^2) coefficient products to order n,
+    with the per-coefficient loop run in C.
+    """
     n = min(a.order, b.order)
     ca, cb = a.coeffs, b.coeffs
     out = [0] * (n + 1)
     for i in range(n + 1):
         x = ca[i]
         if x:
-            for j in range(n + 1 - i):
-                out[i + j] += x * cb[j]
+            out[i:] = map(add, out[i:], map(mul, cb[: n + 1 - i], repeat(x)))
     return TruncatedSeries(tuple(out))
 
 
@@ -193,17 +204,18 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def _mul_binomial(c: list[int], k: int, sign: int) -> None:
-    # c *= (1 + sign*q^k), in place; descending so c[i-k] is still the old value
-    for i in range(len(c) - 1, k - 1, -1):
-        if c[i - k]:
-            c[i] += sign * c[i - k]
+    # c *= (1 + sign*q^k), in place; both slices are read before the
+    # assignment, so every c[i-k] is the old value
+    c[k:] = map(add if sign > 0 else sub, c[k:], c[: len(c) - k])
 
 
 def _div_binomial(c: list[int], k: int, sign: int) -> None:
-    # c /= (1 + sign*q^k), in place; ascending so c[i-k] is already the quotient
-    for i in range(k, len(c)):
-        if c[i - k]:
-            c[i] -= sign * c[i - k]
+    # c /= (1 + sign*q^k), in place, one block of length k at a time: each
+    # block reads the block below it, which is already the quotient; the
+    # last block may be short
+    op = sub if sign > 0 else add
+    for i in range(k, len(c), k):
+        c[i : i + k] = map(op, c[i : i + k], c[i - k : i])
 
 
 def _pentagonal_terms(step: int, order: int) -> list[tuple[int, int]]:
@@ -254,11 +266,13 @@ def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
     O(sqrt(order/a)) terms by Euler's pentagonal number theorem, |e| times:
     O(order sqrt(order/a)) per unit of |e|. Every other factor is applied
     one binomial (1 + sign*q^k) at a time, O(order) each, so O(order^2/step)
-    per unit of |e|. Binomials and terms whose exponent exceeds the order
-    contribute nothing and are skipped. Negative factor exponents divide
-    instead of multiplying, which stays in integer arithmetic because every
-    admissible factor has constant term 1. The offset-0 factor
-    (-1; q^step) contributes the constant 2.
+    per unit of |e|. A binomial multiplies in as one slice map over the
+    list and divides out as about order/k slice maps of length k, each
+    reading the block below it. Binomials and terms whose exponent exceeds
+    the order contribute nothing and are skipped. Negative factor exponents
+    divide instead of multiplying, which stays in integer arithmetic
+    because every admissible factor has constant term 1. The offset-0
+    factor (-1; q^step) contributes the constant 2.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")

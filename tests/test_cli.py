@@ -67,6 +67,19 @@ class TestTable:
         assert code == 2
         assert "--oracle-bound" in err
 
+    def test_oracle_beyond_brute_force_cap(self, capsys, monkeypatch):
+        from stanleypf.cli import BRUTE_FORCE_CAP
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("table --oracle enumerated past its cap")
+
+        monkeypatch.setattr(stanley, "table_from_enumeration", no_enumeration)
+        over = str(BRUTE_FORCE_CAP + 1)
+        code, out, err = run(capsys, "table", "--stats", "t", "--max", over, "--oracle",
+                             "--oracle-bound", "80")
+        assert (code, out) == (2, "")
+        assert err == f"error: --oracle enumeration is capped at --max {BRUTE_FORCE_CAP}\n"
+
     def test_unknown_stat(self, capsys):
         code, _, err = run(capsys, "table", "--stats", "t,x", "--max", "4")
         assert code == 2

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stanleypf.series_core import (
@@ -315,6 +315,77 @@ class TestSparseEtaPath:
     def test_zero_exponent_is_the_unit(self, scale):
         spec = ProductSpec(((-1, scale, scale, 0), (1, 2, 4, 0)))
         assert expand_product(spec, 30).coeffs == (1,) + (0,) * 30
+
+
+class TestBinomialPasses:
+    """expand_product's slice-map binomial passes equal the per-element loops
+    of _dense_product, at the edges of the block-wise division."""
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("exponent", (-3, 3))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @pytest.mark.parametrize("blocks", (1, 2, 5))
+    @pytest.mark.parametrize("below", (0, 1))
+    def test_one_binomial(self, sign, exponent, k, blocks, below):
+        # (1 + sign*q^k)^exponent alone (its step lies above the order), after
+        # 1/(q; q) has made every coefficient nonzero. Order blocks*k ends the
+        # division on a block of length 1; order blocks*k - 1 ends it on a
+        # full block, and with one block the offset k lies above the order.
+        order = blocks * k - below
+        factors = ((-1, 1, 1, -1), (sign, k, order + 1, exponent))
+        assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("exponent", (-3, 3))
+    @pytest.mark.parametrize("offset, step", ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)))
+    @pytest.mark.parametrize("order", (0, 1, 2, 12, 13, 40))
+    def test_whole_factor(self, sign, exponent, offset, step, order):
+        # at sign -1, (1, 1) and (2, 2) are eta factors and take the sparse
+        # path; every other factor takes the binomial passes, whose first
+        # division blocks have length offset
+        factors = ((1, 1, 3, 2), (sign, offset, step, exponent))
+        assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("step", (1, 2, 5))
+    @pytest.mark.parametrize("doubling", (1, 2))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_constant_two_factor(self, step, doubling, sign):
+        # (-1; q^m)^e = 2^e (-q^m; q^m)^e scales what the division then reads
+        factors = ((1, 0, step, doubling), (sign, 2, 3, -3))
+        assert expand_product(ProductSpec(factors), 30).coeffs == _dense_product(factors, 30)
+
+
+def _cauchy_product(a, b):
+    # naive double loop over every pair of coefficients, zeros included
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+# runs of zeros between runs of coefficients that reach past 2**64
+wide_runs = st.lists(
+    st.one_of(
+        st.lists(st.just(0), min_size=1, max_size=12),
+        st.lists(st.integers(min_value=-(2**100), max_value=2**100), min_size=1, max_size=4),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda runs: TruncatedSeries(tuple(c for run in runs for c in run)))
+
+
+class TestCauchyProduct:
+    """series_mul equals a naive double loop. The ring laws alone would
+    pass a wrong kernel that is still symmetric."""
+
+    @given(wide_runs, wide_runs)
+    @example(series(7), series(-3, 1, 2))  # order 0
+    @example(series(0, 5), series(2**70))
+    @settings(max_examples=200)
+    def test_drawn_pairs(self, a, b):
+        assert series_mul(a, b).coeffs == _cauchy_product(a.coeffs, b.coeffs)
 
 
 class TestRingLaws:
