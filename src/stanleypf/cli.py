@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
 from . import __version__, stanley, verify
@@ -45,27 +44,6 @@ COMMAND_FORMATS = {
     "partition": ("partition listings support", ("text", "json")),
     "export": ("exports support", FORMATS),
 }
-
-
-class UsageError(Exception):
-    pass
-
-
-@dataclass
-class CliConfig:
-    order: int = verify.DEFAULT_ORDER
-    enum_bound: int = verify.DEFAULT_ENUM_BOUND
-    oracle_bound: int = verify.DEFAULT_ORACLE_BOUND
-    output_format: str = "text"
-    cache_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise UsageError(f"--order must be at least 2, got {self.order}")
-        if self.enum_bound < 0 or self.oracle_bound < 0:
-            raise UsageError("bounds must be nonnegative")
-        if self.output_format not in FORMATS:
-            raise UsageError(f"unknown format {self.output_format!r}")
 
 
 def _json_coeff(value: int | None):
@@ -142,22 +120,23 @@ _SERIES_FOR_STAT = {
 }
 
 
-def _stat_values(config: CliConfig, stat: str) -> list[int]:
-    """One generating-function column at config.order, cache-aware."""
-    if config.cache_path is None:
-        return list(_SERIES_FOR_STAT[stat](config.order).coeffs)
-    values = cache_load(config.cache_path, stat, config.order)
+def _stat_values(args: argparse.Namespace, stat: str) -> list[int]:
+    """One generating-function column at args.order, cache-aware."""
+    if args.cache is None:
+        return list(_SERIES_FOR_STAT[stat](args.order).coeffs)
+    values = cache_load(args.cache, stat, args.order)
     if values is None:
-        values = list(_SERIES_FOR_STAT[stat](config.order).coeffs)
-        cache_store(config.cache_path, stat, config.order, values)
+        values = list(_SERIES_FOR_STAT[stat](args.order).coeffs)
+        cache_store(args.cache, stat, args.order, values)
     return values
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed arguments, already checked by main
 
-def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out) -> int:
-    columns = {s: _stat_values(config, s)[: max_n + 1] for s in stats}
+def cmd_table(args: argparse.Namespace, out) -> int:
+    stats, max_n, oracle = args.stats, args.max_n, args.oracle
+    columns = {s: _stat_values(args, s)[: max_n + 1] for s in stats}
     oracle_columns = {}
     if oracle:
         enum = stanley.table_from_enumeration(max_n)
@@ -167,13 +146,13 @@ def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out
     cells = [columns[s] for s in stats] + ([oracle_columns[s] for s in stats] if oracle else [])
     rows = ([n] + [col[n] for col in cells] for n in range(max_n + 1))
 
-    if config.output_format == "json":
+    if args.output_format == "json":
         doc = {"max_n": max_n, "columns": {s: [_json_coeff(v) for v in columns[s]] for s in stats}}
         if oracle:
             doc["oracle"] = {s: [_json_coeff(v) for v in oracle_columns[s]] for s in stats}
             doc["match"] = not mismatch
         print(json.dumps(doc), file=out)
-    elif config.output_format == "csv":
+    elif args.output_format == "csv":
         out.writelines(_csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
     else:  # text: right-aligned columns, and a match marker per oracle row
         k = len(stats)
@@ -191,17 +170,17 @@ def cmd_table(config: CliConfig, stats: list[str], max_n: int, oracle: bool, out
     return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
-def cmd_verify(config: CliConfig, suite: str, out) -> int:
+def cmd_verify(args: argparse.Namespace, out) -> int:
     reports = verify.run_suite(
-        suite,
-        order=config.order,
-        enum_bound=config.enum_bound,
-        oracle_bound=config.oracle_bound,
+        args.suite,
+        order=args.order,
+        enum_bound=args.enum_bound,
+        oracle_bound=args.oracle_bound,
     )
     passed = all(r.passed for r in reports)
-    if config.output_format == "json":
+    if args.output_format == "json":
         doc = {
-            "suite": suite,
+            "suite": args.suite,
             "passed": passed,
             "reports": [
                 {**r.to_dict(), "lhs_value": _json_coeff(r.lhs_value), "rhs_value": _json_coeff(r.rhs_value)}
@@ -209,7 +188,7 @@ def cmd_verify(config: CliConfig, suite: str, out) -> int:
             ],
         }
         print(json.dumps(doc), file=out)
-    elif config.output_format == "csv":
+    elif args.output_format == "csv":
         header = ["check_name", "order_or_bound", "passed", "first_failure_index", "lhs_value", "rhs_value"]
         rows = (
             [r.check_name, r.order_or_bound, str(r.passed).lower(),
@@ -225,16 +204,16 @@ def cmd_verify(config: CliConfig, suite: str, out) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
-def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -> int:
+def cmd_partition(args: argparse.Namespace, out) -> int:
     # text is printed as the partitions stream by; JSON needs the whole list
     listing = []
-    for lam in partitions_of(n):
+    for lam in partitions_of(args.n):
         stats = classify(lam)
         kind = "t" if stats.is_t_type else "u"
-        if filt != "all" and kind != filt:
+        if args.filter != "all" and kind != args.filter:
             continue
-        hooks = hook_lengths(lam) if show_hooks else []
-        if config.output_format == "json":
+        hooks = hook_lengths(lam) if args.show_hooks else []
+        if args.output_format == "json":
             entry = {
                 "parts": list(lam),
                 "odd_parts": stats.odd_parts,
@@ -242,7 +221,7 @@ def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -
                 "even_hooks": stats.even_hooks,
                 "type": kind,
             }
-            if show_hooks:
+            if args.show_hooks:
                 entry["hooks"] = hooks
             listing.append(entry)
         else:
@@ -253,7 +232,7 @@ def cmd_partition(config: CliConfig, n: int, filt: str, show_hooks: bool, out) -
             )
             for row in hooks:
                 print("    " + " ".join(str(h) for h in row), file=out)
-    if config.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps(listing), file=out)
     return EXIT_OK
 
@@ -290,11 +269,12 @@ def parse_json_export(text: str) -> list[int]:
     return [int(v) for v in json.loads(text)["values"]]
 
 
-def cmd_export(config: CliConfig, stat: str, max_n: int, out_path: str | None, out) -> int:
-    values = _stat_values(config, stat)[: max_n + 1]
-    if config.output_format == "csv":
+def cmd_export(args: argparse.Namespace, out) -> int:
+    stat, out_path = args.stat, args.out
+    values = _stat_values(args, stat)[: args.max_n + 1]
+    if args.output_format == "csv":
         rendered = render_csv(stat, values)
-    elif config.output_format == "json":
+    elif args.output_format == "json":
         rendered = render_json(stat, values)
     else:  # bfile, and text, which a b-file already is
         rendered = render_bfile(values)
@@ -333,6 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # handlers are read when the parser is built, so a rebound cmd_* is the one called
 
     p_table = sub.add_parser("table", parents=[common], help="print columns of p, t, u, f")
     p_table.add_argument("--stats", default="p,t,u,f",
@@ -340,19 +321,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max", type=int, required=True, dest="max_n", help="largest n to print")
     p_table.add_argument("--oracle", action="store_true",
                          help="add brute-force enumeration columns and per-row match markers")
+    p_table.set_defaults(run=cmd_table)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run identity verification suites")
     p_verify.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_part = sub.add_parser("partition", parents=[common], help="list partitions of n with statistics")
     p_part.add_argument("--n", type=int, required=True, help="the number to partition")
     p_part.add_argument("--filter", choices=("all", "t", "u"), default="all")
     p_part.add_argument("--show-hooks", action="store_true", help="print the hook-length grid per partition")
+    p_part.set_defaults(run=cmd_partition)
 
     p_export = sub.add_parser("export", parents=[common], help="export one sequence")
     p_export.add_argument("--stat", choices=STATS, required=True)
     p_export.add_argument("--max", type=int, required=True, dest="max_n")
     p_export.add_argument("--out", default=None, help="output file (default stdout)")
+    p_export.set_defaults(run=cmd_export)
 
     return parser
 
@@ -366,59 +351,50 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    command = args.command
     try:
-        config = CliConfig(
-            order=args.order,
-            enum_bound=args.enum_bound,
-            oracle_bound=args.oracle_bound,
-            output_format=args.output_format,
-            cache_path=args.cache or os.environ.get(CACHE_ENV_VAR),
-        )
-        command = args.command
+        # every usage check, in this order, comes before any series, suite or cache work
+        if args.order < 2:
+            raise ValueError(f"--order must be at least 2, got {args.order}")
+        if args.enum_bound < 0 or args.oracle_bound < 0:
+            raise ValueError("bounds must be nonnegative")
         if command == "table":
-            stats = [s.strip() for s in args.stats.split(",") if s.strip()]
-            for s in stats:
+            args.stats = [s.strip() for s in args.stats.split(",") if s.strip()]
+            for s in args.stats:
                 if s not in STATS:
-                    raise UsageError(f"unknown statistic {s!r}; choose from p,t,u,f")
-            if not stats:
-                raise UsageError("no statistics requested")
+                    raise ValueError(f"unknown statistic {s!r}; choose from p,t,u,f")
+            if not args.stats:
+                raise ValueError("no statistics requested")
         if command in ("table", "export"):
             if args.max_n < 0:
-                raise UsageError("--max must be nonnegative")
-            if args.max_n > config.order:
-                raise UsageError(
-                    f"--max {args.max_n} exceeds the series order {config.order}; raise --order"
+                raise ValueError("--max must be nonnegative")
+            if args.max_n > args.order:
+                raise ValueError(
+                    f"--max {args.max_n} exceeds the series order {args.order}; raise --order"
                 )
-        if command == "table" and args.oracle and args.max_n > config.oracle_bound:
-            raise UsageError(
-                f"--oracle enumeration is capped at --oracle-bound {config.oracle_bound}; "
+        if command == "table" and args.oracle and args.max_n > args.oracle_bound:
+            raise ValueError(
+                f"--oracle enumeration is capped at --oracle-bound {args.oracle_bound}; "
                 f"raise it to table {args.max_n} by brute force"
             )
         if command == "table" and args.oracle and args.max_n > BRUTE_FORCE_CAP:
-            raise UsageError(f"--oracle enumeration is capped at --max {BRUTE_FORCE_CAP}")
+            raise ValueError(f"--oracle enumeration is capped at --max {BRUTE_FORCE_CAP}")
         if command == "partition":
             if args.n < 0:
-                raise UsageError("--n must be nonnegative")
+                raise ValueError("--n must be nonnegative")
             if args.n > PARTITION_LISTING_CAP:
-                raise UsageError(f"partition listings are capped at n <= {PARTITION_LISTING_CAP}")
-        # the format is the last usage check, and comes before any work
+                raise ValueError(f"partition listings are capped at n <= {PARTITION_LISTING_CAP}")
         what, formats = COMMAND_FORMATS[command]
-        if config.output_format not in formats:
+        if args.output_format not in formats:
             *rest, last = formats
-            raise UsageError(f"{what} {', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}")
+            raise ValueError(f"{what} {', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}")
 
-        out = sys.stdout
-        if command == "table":
-            return cmd_table(config, stats, args.max_n, args.oracle, out)
-        if command == "verify":
-            return cmd_verify(config, args.suite, out)
-        if command == "partition":
-            return cmd_partition(config, args.n, args.filter, args.show_hooks, out)
-        return cmd_export(config, args.stat, args.max_n, args.out, out)
+        args.cache = args.cache or os.environ.get(CACHE_ENV_VAR)  # --cache "" falls back too
+        return args.run(args, sys.stdout)
     except stanley.IdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

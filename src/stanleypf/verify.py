@@ -33,6 +33,7 @@ from .partitions import (
     partitions_of,
 )
 from .series_core import (
+    MAX_DILATION_ORDER,
     ProductSpec,
     ThetaSpec,
     TruncatedSeries,
@@ -115,15 +116,11 @@ def _theta(order: int, a: int, b: int, c: int, alternating: bool = False) -> Tru
 
 
 def _triangular(order: int, bilateral: bool) -> TruncatedSeries:
-    # sum q^{n(n+1)/2}, over n >= 0 or over all integers, enumerated directly
+    # sum q^{n(n+1)/2}, over n >= 0 or over every integer n, enumerated directly
     coeffs = [0] * (order + 1)
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        e = n * (n + 1) // 2
-        coeffs[e] += 1
-        if bilateral:
-            coeffs[e] += 1  # n and -(n+1) share the exponent
-        n += 1
+    for n in range(-order - 1 if bilateral else 0, order + 1):
+        if n * (n + 1) // 2 <= order:
+            coeffs[n * (n + 1) // 2] += 1
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -153,10 +150,14 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     from the higher-level series under test. A product or theta sum that
     several steps read is expanded once and named; no step reads the same
     named value on both of its sides. Requires order >= 8 so every step has
-    nontrivial content.
+    nontrivial content, and order <= MAX_DILATION_ORDER so the dilation of
+    V(q) to V(q^4) stays within series_dilate's cap. Both are checked
+    before anything is expanded.
     """
     if order < 8:
         raise ValueError(f"proof steps need order >= 8, got {order}")
+    if order > MAX_DILATION_ORDER:
+        raise ValueError(f"proof steps need order <= {MAX_DILATION_ORDER}, got {order}")
     n = order
     q2 = series_monomial(1, 2, n)
 
@@ -616,14 +617,15 @@ def run_suite(
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     reports: list[VerificationReport] = []
+    # the proof steps go first, so an order they reject fails before any suite runs
+    if name in ("all", "proof-steps"):
+        reports.extend(check_proof_steps(order))
     if name in ("all", "series"):
         reports.extend(suite_series(order=order, oracle_bound=oracle_bound))
     if name in ("all", "combinatorial"):
         reports.extend(
             suite_combinatorial(enum_bound=enum_bound, corner_bound=min(enum_bound, DEFAULT_CORNER_BOUND))
         )
-    if name in ("all", "proof-steps"):
-        reports.extend(check_proof_steps(order))
     if name in ("all", "congruences"):
         reports.extend(check_congruences(order))
     return sorted(reports, key=lambda r: r.check_name)

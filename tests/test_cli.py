@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import stanleypf
-from stanleypf import stanley
+from stanleypf import cli, stanley, verify
 from stanleypf.cli import (
     _json_coeff,
     cache_load,
@@ -194,6 +194,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err == "error: verification reports support text, json, or csv\n"
 
+    def test_order_past_the_proof_steps_cap_exits_before_any_suite(self, capsys, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran past the proof steps' order cap")
+
+        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_prod"):
+            monkeypatch.setattr(verify, name, no_suite)
+        code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10001")
+        assert (code, out, err) == (2, "", "error: proof steps need order <= 10000, got 10001\n")
+
 
 class TestPartitionCommand:
     def test_u_partitions_of_two(self, capsys):
@@ -378,3 +387,16 @@ class TestEntryPoints:
         code, _, err = run(capsys, "table", "--stats", "p", "--max", "1", "--order", "1")
         assert code == 2
         assert "--order" in err
+
+    def test_main_calls_the_handler_the_module_holds_now(self, capsys, monkeypatch):
+        # perfbench/tracer.py rebinds cli.cmd_* after import; a handler bound
+        # earlier would run untraced
+        calls = []
+
+        def stub(args, out):
+            calls.append((args.stat, args.max_n))
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_export", stub)
+        assert run(capsys, "export", "--stat", "t", "--max", "3") == (0, "", "")
+        assert calls == [("t", 3)]

@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 
 import pytest
@@ -90,6 +91,43 @@ class TestProofSteps:
         with pytest.raises(ValueError):
             check_proof_steps(7)
 
+    @pytest.mark.parametrize("suite", ["proof-steps", "all"])
+    def test_order_past_the_dilation_cap_fails_before_any_suite(self, suite, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran past the proof steps' order cap")
+
+        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_prod"):
+            monkeypatch.setattr(verify, name, no_suite)
+        cap = series_core.MAX_DILATION_ORDER
+        with pytest.raises(ValueError, match=rf"^proof steps need order <= {cap}, got {cap + 1}$"):
+            run_suite(suite, order=cap + 1)
+
+    def test_order_at_the_dilation_cap_accepted(self, monkeypatch):
+        # the largest valid order gets past the check without expanding anything
+        class Expanded(Exception):
+            pass
+
+        def sentinel(*args, **kwargs):
+            raise Expanded
+
+        monkeypatch.setattr(verify, "_prod", sentinel)
+        with pytest.raises(Expanded):
+            check_proof_steps(series_core.MAX_DILATION_ORDER)
+
+    def test_doubling_check_catches_a_short_one_sided_sum(self, monkeypatch):
+        # plant a defect in _triangular's source: the one-sided sum starts
+        # at n = 1. The bilateral sum is enumerated on its own, so the
+        # doubling step must see the missing n = 0 term.
+        source = inspect.getsource(verify._triangular)
+        assert source.count("else 0") == 1
+        namespace = dict(vars(verify))
+        exec(source.replace("else 0", "else 1"), namespace)
+        monkeypatch.setattr(verify, "_triangular", namespace["_triangular"])
+        report = next(
+            r for r in check_proof_steps(40) if r.check_name == "proof/triangular-bilateral-doubling"
+        )
+        assert (report.first_failure_index, report.lhs_value, report.rhs_value) == (0, 2, 0)
+
     def test_names_are_unique(self):
         names = [r.check_name for r in check_proof_steps(8)]
         assert len(set(names)) == len(names)
@@ -173,7 +211,8 @@ def _one_more_power(exponent):
 
 def _closed_form_mutations():
     """(table name, mutated table) for one more power of each factor of
-    the t, u and V eta quotients and the f product."""
+    the t, u and V eta quotients and the f product, and for 1 added to
+    each of pre, a and b of each u progression."""
     for name in ("_T_ETA_TERMS", "_U_ETA_TERMS", "_V_ETA_TERMS"):
         terms = getattr(stanley, name)
         for k, (scale, exponent) in enumerate(terms):
@@ -182,6 +221,10 @@ def _closed_form_mutations():
     for k, (sign, offset, step, exponent) in enumerate(factors):
         mutated = factors[:k] + ((sign, offset, step, _one_more_power(exponent)),) + factors[k + 1:]
         yield "_F_SPEC", series_core.ProductSpec(mutated)
+    progressions = stanley._U_PROGRESSION
+    for i, entry in progressions.items():
+        for k in range(3):
+            yield "_U_PROGRESSION", {**progressions, i: entry[:k] + (entry[k] + 1,) + entry[k + 1:]}
 
 
 class TestClosedFormMutations:
@@ -196,7 +239,7 @@ class TestClosedFormMutations:
                 m.setattr(stanley, name, mutated)
                 if all(r.passed for r in suite_series(200, 50)):
                     missed.append((name, mutated))
-        assert len(mutations) == 18
+        assert len(mutations) == 18 + 12
         assert missed == []
 
 
