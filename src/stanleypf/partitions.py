@@ -134,13 +134,20 @@ def hook_length(lam: Sequence[int], i: int, j: int) -> int:
     return lam[i - 1] - j + col - i + 1
 
 
+def _hook_rows(lam: Sequence[int], conj: Sequence[int]) -> Iterator[Iterator[int]]:
+    """Each row's hook lengths, as a lazy iterator, from lam and its conjugate.
+
+    Hook (i, j) = (lam_i - i + 1) + (conj_j - j): the column terms are made
+    once, and each row adds its own term to the first lam_i of them.
+    """
+    col_terms = [col - j for j, col in enumerate(conj, 1)]
+    for i, row in enumerate(lam, 1):
+        yield map((row - i + 1).__add__, col_terms[:row])
+
+
 def hook_lengths(lam: Sequence[int]) -> list[list[int]]:
     """The hook length of every cell, one list per row, from one conjugation."""
-    conj = _conjugate_parts(lam)
-    return [
-        [row - j + conj[j - 1] - i + 1 for j in range(1, row + 1)]
-        for i, row in enumerate(lam, 1)
-    ]
+    return [list(row) for row in _hook_rows(lam, _conjugate_parts(lam))]
 
 
 def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:

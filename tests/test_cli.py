@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import stanleypf
 from stanleypf import cli, stanley, verify
+from stanleypf.partitions import classify, partitions_of
 from stanleypf.cli import (
     _json_coeff,
     cache_load,
@@ -203,6 +205,18 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10001")
         assert (code, out, err) == (2, "", "error: proof steps need order <= 10000, got 10001\n")
 
+    @pytest.mark.parametrize("suite", ["all", "combinatorial"])
+    def test_enum_bound_past_its_cap_exits_before_any_suite(self, capsys, monkeypatch, suite):
+        from stanleypf.cli import ENUM_BOUND_CAP
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran past the combinatorial pass's bound cap")
+
+        monkeypatch.setattr(verify, "run_suite", no_suite)
+        over = ENUM_BOUND_CAP + 1
+        code, out, err = run(capsys, "verify", "--suite", suite, "--enum-bound", str(over))
+        assert (code, out, err) == (2, "", f"error: --enum-bound is capped at {ENUM_BOUND_CAP}, got {over}\n")
+
 
 class TestPartitionCommand:
     def test_u_partitions_of_two(self, capsys):
@@ -238,6 +252,66 @@ class TestPartitionCommand:
         doc = json.loads(out)
         assert [e["parts"] for e in doc] == [[3], [2, 1], [1, 1, 1]]
         assert [e["type"] for e in doc] == ["u", "t", "u"]
+
+    def test_text_listing_is_written_in_a_few_blocks(self):
+        class CountingOut(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, s):
+                self.sizes.append(len(s))
+                return super().write(s)
+
+        out = CountingOut()
+        args = cli._build_parser().parse_args(["partition", "--n", "30", "--show-hooks"])
+        assert cli.cmd_partition(args, out) == 0
+        text = out.getvalue()
+        assert text.count("\n") == 60167  # 5,604 partitions of 30 and one hook row per part
+        # a per-line write would make 60,167 calls; one write of it all would hold it in memory
+        assert len(out.sizes) <= 64
+        assert max(out.sizes) <= len(text) // 4
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    @pytest.mark.parametrize("kind_filter", ["all", "t", "u"])
+    def test_listing_matches_a_reference_built_cell_by_cell(self, capsys, kind_filter, output_format):
+        # the type must come from the odd parts and He from the hooks; the
+        # reference reads each from its own definition
+        def reference_hooks(lam):
+            return [[row - j + sum(1 for p in lam if p >= j) - i + 1 for j in range(1, row + 1)]
+                    for i, row in enumerate(lam, 1)]
+
+        def parse_text(out, show_hooks):
+            entries, lines = [], out.splitlines()
+            while lines:
+                head, fields = lines.pop(0).split("  ")
+                parts = [int(x) for x in head.strip("()").split(", ") if x]
+                entry = {"parts": parts, **dict(f.split("=") for f in fields.split())}
+                if show_hooks:
+                    entry["hooks"] = [[int(h) for h in lines.pop(0).split()] for _ in parts]
+                entries.append(entry)
+            return entries
+
+        for n in range(15):
+            for show_hooks in (False, True):
+                argv = ["partition", "--n", str(n), "--filter", kind_filter, "--format", output_format]
+                code, out, _ = run(capsys, *argv, *(["--show-hooks"] if show_hooks else []))
+                assert code == 0
+                entries = json.loads(out) if output_format == "json" else parse_text(out, show_hooks)
+                expected = [lam for lam in partitions_of(n)
+                            if kind_filter in ("all", "t" if classify(lam).is_t_type else "u")]
+                assert [tuple(e["parts"]) for e in entries] == expected
+                for entry, lam in zip(entries, expected):
+                    s = classify(lam)
+                    hooks = reference_hooks(lam)
+                    if output_format == "json":
+                        got = (entry["odd_parts"], entry["odd_parts_conjugate"], entry["even_hooks"])
+                    else:
+                        got = (int(entry["O"]), int(entry["O'"]), int(entry["He"]))
+                    assert got == (s.odd_parts, s.odd_parts_conjugate, s.even_hooks), lam
+                    assert got[2] == sum(1 for row in hooks for h in row if h % 2 == 0), lam
+                    assert entry["type"] == ("t" if s.is_t_type else "u"), lam
+                    assert entry.get("hooks") == (hooks if show_hooks else None), lam
 
 
 class TestExport:
