@@ -145,11 +145,6 @@ def _hook_rows(lam: Sequence[int], conj: Sequence[int]) -> Iterator[Iterator[int
         yield map((row - i + 1).__add__, col_terms[:row])
 
 
-def hook_lengths(lam: Sequence[int]) -> list[list[int]]:
-    """The hook length of every cell, one list per row, from one conjugation."""
-    return [list(row) for row in _hook_rows(lam, _conjugate_parts(lam))]
-
-
 def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
     # Cells are counted row by row. Hook (i, j) = lam_i - j + conj_j - i + 1
     # is even exactly when conj_j - j = i - 1 - lam_i mod 2, so row i holds
@@ -166,11 +161,6 @@ def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
     for i0, row in enumerate(lam):  # i0 = i - 1
         count += odd_upto[row] if (i0 - row) & 1 else row - odd_upto[row]
     return count
-
-
-def even_hook_count(lam: Sequence[int]) -> int:
-    """Number of cells whose hook length is even."""
-    return _even_hooks(lam, _conjugate_parts(lam))
 
 
 def _statistics(lam: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
@@ -214,7 +204,7 @@ def corner_parity_check(lam: Sequence[int], v: tuple[int, int]) -> bool:
     removed[i - 1] -= 1
     if removed[i - 1] == 0:
         removed.pop()
-    same_hook_parity = (even_hook_count(lam) - even_hook_count(removed)) % 2 == 0
+    same_hook_parity = (_statistics(lam)[3] - _statistics(removed)[3]) % 2 == 0
     col = sum(1 for p in lam if p >= j)
     same_cell_parity = (lam[i - 1] - col) % 2 == 0
     return same_hook_parity == same_cell_parity

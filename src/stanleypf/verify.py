@@ -22,7 +22,7 @@ or bound they were verified to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import stanley
 from .partitions import (
@@ -348,21 +348,13 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     return reports
 
 
-class _CombinatorialSweep(NamedTuple):
-    hook_parity: VerificationReport
-    corner_lemma: VerificationReport
-    even_counts: list[int]  # per n <= enum_bound: partitions with evenly many even hooks
-    odd_counts: list[int]  # ... and with oddly many
-    conjugation_pairing: VerificationReport
-
-
 def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
     if failure is None:
         return VerificationReport(name, bound, True)
     return VerificationReport(name, bound, False, *failure)
 
 
-def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> _CombinatorialSweep:
+def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[VerificationReport]:
     """One pass over every partition of n <= max(enum_bound, corner_bound).
 
     Each partition is enumerated once, and its conjugate, odd-part counts
@@ -371,10 +363,13 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> _CombinatorialSw
     n <= enum_bound, and the corner lemma for 1 <= n <= corner_bound. Each
     check keeps the index and witnesses of its own first failure, so every
     report is what that check would give in a sweep of its own.
+
+    Returns six reports in suite order: hook parity, the corner lemma, the
+    three hook-counting identities, conjugation pairing.
     """
     parity_failure = corner_failure = pairing_failure = None
-    even_counts: list[int] = []
-    odd_counts: list[int] = []
+    even_counts: list[int] = []  # per n <= enum_bound: partitions with evenly many even hooks
+    odd_counts: list[int] = []  # ... and with oddly many
     # H_e of every partition of n - 1, for the corner lemma's lambda-minus
     previous_hooks: dict[tuple[int, ...], int] = {}
     index = 0  # global, counting from the empty partition
@@ -415,36 +410,28 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> _CombinatorialSw
             even_counts.append(even)
             odd_counts.append(odd)
         previous_hooks = hooks
-    return _CombinatorialSweep(
+    return [
         _report("comb/hook-parity-equivalence", enum_bound, parity_failure),
         _report("comb/corner-parity-lemma", corner_bound, corner_failure),
-        even_counts,
-        odd_counts,
-        _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
-    )
-
-
-def _hook_counting_reports(n_max: int, sweep: _CombinatorialSweep) -> list[VerificationReport]:
-    even_counts, odd_counts = sweep.even_counts, sweep.odd_counts
-    return [
         _values_equal(
             "comb/even-hook-partitions-equal-t",
-            n_max,
+            enum_bound,
             even_counts,
-            list(stanley.table_from_dp(n_max).t),
+            list(stanley.table_from_dp(enum_bound).t),
         ),
         _values_equal(
             "comb/odd-hook-partitions-count-even",
-            n_max,
+            enum_bound,
             [c % 2 for c in odd_counts],
-            [0] * (n_max + 1),
+            [0] * (enum_bound + 1),
         ),
         _values_equal(
             "comb/signed-hook-count-equals-f",
-            n_max,
+            enum_bound,
             [e - o for e, o in zip(even_counts, odd_counts)],
-            list(stanley.f_series(n_max).coeffs),
+            list(stanley.f_series(enum_bound).coeffs),
         ),
+        _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
     ]
 
 
@@ -456,7 +443,7 @@ def check_hook_parity(n_max: int) -> VerificationReport:
     in global enumeration order, from n = 0, with (O - O') % 4 and H_e as
     witnesses. The check is one part of the shared combinatorial sweep.
     """
-    return _combinatorial_sweep(n_max, 0).hook_parity
+    return _combinatorial_sweep(n_max, 0)[0]
 
 
 def check_corner_lemma(n_max: int) -> VerificationReport:
@@ -469,7 +456,7 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
     index from n = 1 and the corner (i, j). The check is one part of the
     shared combinatorial sweep.
     """
-    return _combinatorial_sweep(0, n_max).corner_lemma
+    return _combinatorial_sweep(0, n_max)[1]
 
 
 def check_hook_counting(n_max: int) -> list[VerificationReport]:
@@ -481,7 +468,7 @@ def check_hook_counting(n_max: int) -> list[VerificationReport]:
     so this also checks the DP against exhaustive enumeration. The counts
     come from the shared combinatorial sweep.
     """
-    return _hook_counting_reports(n_max, _combinatorial_sweep(n_max, 0))
+    return _combinatorial_sweep(n_max, 0)[2:5]
 
 
 def check_conjugation_pairing(n_max: int) -> VerificationReport:
@@ -493,7 +480,7 @@ def check_conjugation_pairing(n_max: int) -> VerificationReport:
     u-type partition's index from n = 0, and n. The check is one part of
     the shared combinatorial sweep.
     """
-    return _combinatorial_sweep(n_max, 0).conjugation_pairing
+    return _combinatorial_sweep(n_max, 0)[5]
 
 
 def check_congruences(order: int) -> list[VerificationReport]:
@@ -589,22 +576,16 @@ def suite_series(
     return reports
 
 
-def suite_combinatorial(
-    enum_bound: int = DEFAULT_ENUM_BOUND, corner_bound: int = DEFAULT_CORNER_BOUND
-) -> list[VerificationReport]:
-    """Exhaustive hook-statistic checks over all partitions up to the bounds.
+def suite_combinatorial(enum_bound: int = DEFAULT_ENUM_BOUND) -> list[VerificationReport]:
+    """Exhaustive hook-statistic checks over all partitions up to the bound.
 
     One shared sweep enumerates each partition once and gives the reports of
-    ``check_hook_parity``, ``check_corner_lemma``, ``check_hook_counting``
-    and ``check_conjugation_pairing``, in that order, as each would alone.
+    ``check_hook_parity``, ``check_corner_lemma``, the three of
+    ``check_hook_counting`` and ``check_conjugation_pairing``, in that
+    order, as each would alone. The corner lemma runs to min(enum_bound, 20),
+    20 being DEFAULT_CORNER_BOUND; the other five checks run to enum_bound.
     """
-    sweep = _combinatorial_sweep(enum_bound, corner_bound)
-    return [
-        sweep.hook_parity,
-        sweep.corner_lemma,
-        *_hook_counting_reports(enum_bound, sweep),
-        sweep.conjugation_pairing,
-    ]
+    return _combinatorial_sweep(enum_bound, min(enum_bound, DEFAULT_CORNER_BOUND))
 
 
 def run_suite(
@@ -623,9 +604,7 @@ def run_suite(
     if name in ("all", "series"):
         reports.extend(suite_series(order=order, oracle_bound=oracle_bound))
     if name in ("all", "combinatorial"):
-        reports.extend(
-            suite_combinatorial(enum_bound=enum_bound, corner_bound=min(enum_bound, DEFAULT_CORNER_BOUND))
-        )
+        reports.extend(suite_combinatorial(enum_bound))
     if name in ("all", "congruences"):
         reports.extend(check_congruences(order))
     return sorted(reports, key=lambda r: r.check_name)

@@ -217,6 +217,18 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", suite, "--enum-bound", str(over))
         assert (code, out, err) == (2, "", f"error: --enum-bound is capped at {ENUM_BOUND_CAP}, got {over}\n")
 
+    @pytest.mark.parametrize("suite", ["all", "series"])
+    def test_oracle_bound_past_its_cap_exits_before_any_suite(self, capsys, monkeypatch, suite):
+        from stanleypf.cli import ORACLE_BOUND_CAP
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran past the partition DP's bound cap")
+
+        monkeypatch.setattr(verify, "run_suite", no_suite)
+        over = ORACLE_BOUND_CAP + 1
+        code, out, err = run(capsys, "verify", "--suite", suite, "--oracle-bound", str(over))
+        assert (code, out, err) == (2, "", f"error: --oracle-bound is capped at {ORACLE_BOUND_CAP}, got {over}\n")
+
 
 class TestPartitionCommand:
     def test_u_partitions_of_two(self, capsys):
@@ -396,17 +408,21 @@ class TestCache:
     def test_non_string_value_is_corrupt(self, tmp_path, capsys):
         # cache_store writes decimal strings; a number would be truncated by int()
         path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         payload["values"][3] = 41.9
-        json.dump(payload, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
         assert cache_load(str(tmp_path), "t", 4) is None
         assert "corrupt cache" in capsys.readouterr().err
 
     def test_stale_version_ignored(self, tmp_path):
         path = cache_store(str(tmp_path), "t", 4, [9, 9, 9, 9, 9])
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         payload["version"] = "0.0.0"
-        json.dump(payload, open(path, "w"))
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
         assert cache_load(str(tmp_path), "t", 4) is None
 
     def test_concurrent_misses_share_a_cache(self, tmp_path):

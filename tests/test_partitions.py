@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
     Partition,
+    _hook_rows,
+    _statistics,
     classify,
     conjugate,
     corner_parity_check,
-    even_hook_count,
     hook_length,
-    hook_lengths,
     inner_corners,
     odd_parts_count,
     partitions_of,
@@ -115,6 +115,11 @@ class TestOddParts:
                 assert odd_parts_count(conjugate(lam)) % 2 == n % 2
 
 
+def _hook_grid(lam):
+    """Every hook length, one list per row, as the listing computes them."""
+    return [list(row) for row in _hook_rows(lam, conjugate(lam))]
+
+
 def _even_cells(lam):
     """Cells with an even hook, each hook measured on its own."""
     return sum(
@@ -138,29 +143,29 @@ class TestHooks:
             hook_length((2, 1), 3, 1)
 
     def test_even_hook_count_examples(self):
-        assert even_hook_count((2, 1)) == 0  # hooks 3, 1, 1
-        assert even_hook_count((2, 2)) == 2  # hooks 3, 2, 2, 1
-        assert even_hook_count(()) == 0
+        assert _statistics((2, 1))[3] == 0  # hooks 3, 1, 1
+        assert _statistics((2, 2))[3] == 2  # hooks 3, 2, 2, 1
+        assert _statistics(())[3] == 0
 
     @given(random_partitions)
     @settings(max_examples=100)
     def test_even_hooks_counts_cells(self, lam):
-        assert even_hook_count(lam) == _even_cells(lam)
+        assert _statistics(lam)[3] == _even_cells(lam)
 
     def test_even_hooks_counts_cells_exhaustive(self):
         for n in range(17):
             for lam in partitions_of(n):
-                assert even_hook_count(lam) == _even_cells(lam), lam
+                assert _statistics(lam)[3] == _even_cells(lam), lam
 
     def test_hook_grid_examples(self):
-        assert hook_lengths((3, 2)) == [[4, 3, 1], [2, 1]]
-        assert hook_lengths((1, 1)) == [[2], [1]]
-        assert hook_lengths(()) == []
+        assert _hook_grid((3, 2)) == [[4, 3, 1], [2, 1]]
+        assert _hook_grid((1, 1)) == [[2], [1]]
+        assert _hook_grid(()) == []
 
     def test_hook_grid_matches_each_cell(self):
         for n in range(13):
             for lam in partitions_of(n):
-                assert hook_lengths(lam) == [
+                assert _hook_grid(lam) == [
                     [hook_length(lam, i, j) for j in range(1, row + 1)]
                     for i, row in enumerate(lam, 1)
                 ]

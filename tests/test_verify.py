@@ -328,7 +328,7 @@ class TestSuites:
         assert bounds["series/p-series-vs-partition-count"] == 40
 
     def test_combinatorial_suite(self):
-        reports = suite_combinatorial(enum_bound=10, corner_bound=8)
+        reports = suite_combinatorial(enum_bound=10)
         assert all(r.passed for r in reports)
         assert len(reports) == 6
 
@@ -342,9 +342,15 @@ class TestSuites:
                 yield lam
 
         monkeypatch.setattr(verify, "partitions_of", counted)
-        assert all(r.passed for r in suite_combinatorial(25, 20))
+        assert all(r.passed for r in suite_combinatorial(25))
         assert len(visits) == 9296  # p(0) + ... + p(25)
         assert set(visits.values()) == {1}
+
+    @pytest.mark.parametrize("enum_bound", (0, 8, 25))
+    def test_combinatorial_suite_is_what_run_suite_reports(self, enum_bound):
+        # the corner lemma runs to min(enum_bound, DEFAULT_CORNER_BOUND) both ways
+        reports = sorted(suite_combinatorial(enum_bound), key=lambda r: r.check_name)
+        assert reports == run_suite("combinatorial", enum_bound=enum_bound)
 
     def test_congruence_suite(self):
         assert all(r.passed for r in check_congruences(40))
@@ -541,7 +547,7 @@ class TestCombinatorialFaultInjection:
         ]
 
     def test_miscounted_even_hook_in_suite(self, miscounted_hooks):
-        assert suite_combinatorial(25, 20) == self._hook_fault_reports(25, 20)
+        assert suite_combinatorial(25) == self._hook_fault_reports(25, 20)
 
     @pytest.mark.parametrize("n_max", (5, 12))
     def test_miscounted_even_hook_checks_alone(self, miscounted_hooks, n_max):
@@ -550,10 +556,17 @@ class TestCombinatorialFaultInjection:
     def test_miscounted_even_hook_below_its_weight(self, miscounted_hooks):
         assert all(r.passed for r in _combinatorial_alone(4))
 
+    def test_miscounted_even_hook_in_partition_helpers(self, miscounted_hooks):
+        # the per-partition helpers read the same statistic, so they fail too
+        assert partitions.corner_parity_check((3, 2), (1, 3)) is False
+        stats = partitions.classify((3, 2))
+        # t-type with an odd number of even hooks breaks hook parity
+        assert (stats.is_t_type, stats.even_hooks) == (True, 3)
+
     def test_misconjugated_partition(self, misconjugated):
         # (3) is u-type and its conjugate (1, 1, 1) is found, but (1, 1, 1)
         # is paired with a t-type partner; index 6 counts from n = 0
         expected = _report("comb/u-partitions-pair-under-conjugation", 25, 6, 3, None)
-        assert suite_combinatorial(25, 20)[-1] == expected
+        assert suite_combinatorial(25)[-1] == expected
         assert check_conjugation_pairing(25) == expected
         assert check_conjugation_pairing(2).passed
