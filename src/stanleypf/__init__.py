@@ -6,14 +6,13 @@ hook-length interpretations relating them.
 
 __version__ = "0.1.0"
 
-from .partitions import Partition, PartitionStats, partitions_of
+from .partitions import PartitionStats, partitions_of
 from .series_core import ProductSpec, ThetaSpec, TruncatedSeries
-from .stanley import StanleyTable, table_from_dp, table_from_enumeration, table_from_series
+from .stanley import StanleyTable, table_from_dp, table_from_enumeration
 from .verify import VerificationReport, run_suite
 
 __all__ = [
     "__version__",
-    "Partition",
     "PartitionStats",
     "partitions_of",
     "ProductSpec",
@@ -22,7 +21,6 @@ __all__ = [
     "StanleyTable",
     "table_from_dp",
     "table_from_enumeration",
-    "table_from_series",
     "VerificationReport",
     "run_suite",
 ]

@@ -1,10 +1,11 @@
 """Integer partitions and their hook / odd-part statistics.
 
 A partition of n is a nonincreasing sequence of positive parts summing to
-n; the empty partition is the unique partition of 0. Everything downstream
-rests on two statistics of a partition and its conjugate: the odd-part
-counts O(lambda) and O(lambda'), and the number of cells of the Young
-diagram whose hook length is even.
+n, held as a plain tuple of ints; the empty partition () is the unique
+partition of 0. Everything downstream rests on two statistics of a
+partition and its conjugate: the odd-part counts O(lambda) and
+O(lambda'), and the number of cells of the Young diagram whose hook
+length is even.
 
 Row and column indices are 1-based throughout, matching the usual (i, j)
 cell convention for Young diagrams.
@@ -13,37 +14,7 @@ cell convention for Young diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-
-class Partition(tuple):
-    """A partition as a tuple of nonincreasing positive parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        t = tuple(parts)
-        prev = None
-        for p in t:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be positive integers, got {p!r}")
-            if prev is not None and p > prev:
-                raise ValueError(f"parts must be nonincreasing, got {t}")
-            prev = p
-        return tuple.__new__(cls, t)
-
-    @classmethod
-    def _wrap(cls, parts: tuple[int, ...]) -> "Partition":
-        # fast path for parts already known to be valid
-        return tuple.__new__(cls, parts)
-
-    @property
-    def n(self) -> int:
-        """The number being partitioned."""
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Partition({tuple(self)})"
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -90,32 +61,29 @@ def _parts_stream(n: int) -> Iterator[list[int]]:
         yield parts
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in decreasing lex order.
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of n exactly once, as a tuple, in decreasing
+    lex order.
 
     The stream never materializes all p(n) partitions at once.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer {n}")
     for parts in _parts_stream(n):
-        yield Partition._wrap(tuple(parts))
+        yield tuple(parts)
 
 
-def _conjugate_parts(parts: Sequence[int]) -> tuple[int, ...]:
-    if not parts:
+def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate partition: column lengths of the Young diagram."""
+    if not lam:
         return ()
     out = []
-    rows = len(parts)
-    for j in range(1, parts[0] + 1):
-        while parts[rows - 1] < j:
+    rows = len(lam)
+    for j in range(1, lam[0] + 1):
+        while lam[rows - 1] < j:
             rows -= 1
         out.append(rows)
     return tuple(out)
-
-
-def conjugate(lam: Sequence[int]) -> Partition:
-    """The conjugate partition: column lengths of the Young diagram."""
-    return Partition._wrap(_conjugate_parts(lam))
 
 
 def odd_parts_count(lam: Sequence[int]) -> int:
@@ -169,7 +137,7 @@ def _statistics(lam: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
     The odd-part counts and the even-hook count share only lam and its
     conjugate.
     """
-    conj = _conjugate_parts(lam)
+    conj = conjugate(lam)
     return conj, odd_parts_count(lam), odd_parts_count(conj), _even_hooks(lam, conj)
 
 

@@ -24,6 +24,8 @@ V(q) = (q^2)^2 (q^8)^2 / ( (q)^5 (q^4) ).
 Keeping both routes alive is the point: every identity is cross-checked
 enumeration-versus-series rather than assumed. Neither combinatorial
 counter touches a series, and the two share no code with each other.
+Each counter returns a ``StanleyTable``; each generating function returns
+a ``TruncatedSeries``, and ``verify`` compares the two.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from .series_core import (
     series_monomial,
     series_mul,
 )
-
-SOURCE_ENUMERATION = "enumeration"
-SOURCE_DP = "enumeration-dp"
-SOURCE_GENERATING_FUNCTION = "generating-function"
 
 # (-q; q^2) / ( (q^4; q^4) (-q^2; q^4)^2 ), the generating function of f
 _F_SPEC = ProductSpec(((1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2)))
@@ -69,11 +67,17 @@ _U_PROGRESSION = {
 
 
 class IdentityError(ValueError):
-    """A defining identity failed on computed values.
+    """An odd coefficient stopped the exact halving behind t = (p + f) / 2.
 
     This is a defect in one of the routes, not bad input, so the command
     line reports it as a verification failure rather than a usage error.
+    ``halved`` holds the exact halves of the coefficients below the odd
+    one, so its length is the exponent of the odd coefficient.
     """
+
+    def __init__(self, message: str, halved: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.halved = halved
 
 
 def p_series(order: int) -> TruncatedSeries:
@@ -90,24 +94,12 @@ def f_series(order: int) -> TruncatedSeries:
     return expand_product(_F_SPEC, order)
 
 
-class HalvingError(IdentityError):
-    """An odd coefficient stopped an exact halving.
-
-    ``halved`` holds the exact halves of the coefficients below it, so its
-    length is the exponent of the odd coefficient.
-    """
-
-    def __init__(self, message: str, halved: tuple[int, ...]) -> None:
-        super().__init__(message)
-        self.halved = halved
-
-
 def _halve_exactly(s: TruncatedSeries) -> TruncatedSeries:
     halved = []
     for k, c in enumerate(s.coeffs):
         q, rem = divmod(c, 2)
         if rem:
-            raise HalvingError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly", tuple(halved))
+            raise IdentityError(f"coefficient {c} of q^{k} is odd and cannot be halved exactly", tuple(halved))
         halved.append(q)
     return TruncatedSeries(tuple(halved))
 
@@ -116,7 +108,7 @@ def t_series_half_sum(order: int) -> TruncatedSeries:
     """t(n) as (p(n) + f(n)) / 2, with exact halving.
 
     An odd coefficient sum would mean either an implementation bug or a
-    falsified identity, so it raises HalvingError instead of rounding.
+    falsified identity, so it raises IdentityError instead of rounding.
     """
     return _halve_exactly(series_add(p_series(order), f_series(order)))
 
@@ -179,10 +171,11 @@ def t_bruteforce(n: int) -> int:
 
 @dataclass(frozen=True)
 class StanleyTable:
-    """Columns p, t, u, f for 0..max_n, with their provenance.
+    """Columns p, t, u, f for 0..max_n from one combinatorial counter.
 
-    The defining relations p = t + u and f = t - u are enforced at
-    construction, so a table whose columns disagree cannot exist.
+    ``_table_from_counts`` is the only constructor. It derives u = p - t
+    and f = t - u from the counted p and t, so the defining relations hold
+    by construction.
     """
 
     max_n: int
@@ -190,22 +183,6 @@ class StanleyTable:
     t: tuple[int, ...]
     u: tuple[int, ...]
     f: tuple[int, ...]
-    source: str
-
-    def __post_init__(self) -> None:
-        if self.source not in (SOURCE_ENUMERATION, SOURCE_DP, SOURCE_GENERATING_FUNCTION):
-            raise ValueError(f"unknown table source {self.source!r}")
-        for name in ("p", "t", "u", "f"):
-            col = getattr(self, name)
-            if not isinstance(col, tuple):
-                object.__setattr__(self, name, tuple(col))
-            if len(getattr(self, name)) != self.max_n + 1:
-                raise ValueError(f"column {name} must have {self.max_n + 1} entries")
-        for n in range(self.max_n + 1):
-            if self.p[n] != self.t[n] + self.u[n]:
-                raise IdentityError(f"p(n) = t(n) + u(n) fails at n={n}")
-            if self.f[n] != self.t[n] - self.u[n]:
-                raise IdentityError(f"f(n) = t(n) - u(n) fails at n={n}")
 
     def column(self, stat: str) -> tuple[int, ...]:
         if stat not in ("p", "t", "u", "f"):
@@ -213,10 +190,10 @@ class StanleyTable:
         return getattr(self, stat)
 
 
-def _table_from_counts(max_n: int, p: list[int], t: list[int], source: str) -> StanleyTable:
+def _table_from_counts(max_n: int, p: list[int], t: list[int]) -> StanleyTable:
     u = [pn - tn for pn, tn in zip(p, t)]
     f = [tn - un for tn, un in zip(t, u)]
-    return StanleyTable(max_n, tuple(p), tuple(t), tuple(u), tuple(f), source)
+    return StanleyTable(max_n, tuple(p), tuple(t), tuple(u), tuple(f))
 
 
 def table_from_enumeration(max_n: int) -> StanleyTable:
@@ -226,7 +203,7 @@ def table_from_enumeration(max_n: int) -> StanleyTable:
         pn, tn = _enumeration_counts(n)
         p.append(pn)
         t.append(tn)
-    return _table_from_counts(max_n, p, t, SOURCE_ENUMERATION)
+    return _table_from_counts(max_n, p, t)
 
 
 def _odd_count_shift(k: int, m: int, c: int) -> int:
@@ -273,21 +250,4 @@ def table_from_dp(max_n: int) -> StanleyTable:
         counts = extended
     p = [sum(col) for col in zip(*counts)]
     t = [even + odd for even, odd in zip(counts[0], counts[4])]
-    return _table_from_counts(max_n, p, t, SOURCE_DP)
-
-
-def table_from_series(max_n: int, order: int | None = None) -> StanleyTable:
-    """Build the table from the four independent generating functions."""
-    if order is None:
-        order = max(max_n, 2)
-    if order < max_n:
-        raise ValueError(f"order {order} cannot cover n up to {max_n}")
-    take = max_n + 1
-    return StanleyTable(
-        max_n,
-        p_series(order).coeffs[:take],
-        t_series_andrews(order).coeffs[:take],
-        u_series(order).coeffs[:take],
-        f_series(order).coeffs[:take],
-        SOURCE_GENERATING_FUNCTION,
-    )
+    return _table_from_counts(max_n, p, t)

@@ -533,7 +533,7 @@ def suite_series(
     t_andrews = stanley.t_series_andrews(top)
     try:
         t_half_sum = stanley.t_series_half_sum(top).coeffs
-    except stanley.HalvingError as exc:
+    except stanley.IdentityError as exc:
         t_half_sum = exc.halved + (None,)
     u = stanley.u_series(top)
     reports = [

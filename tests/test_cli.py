@@ -203,7 +203,7 @@ class TestVerifyCommand:
         for name in ("suite_series", "suite_combinatorial", "check_congruences", "_prod"):
             monkeypatch.setattr(verify, name, no_suite)
         code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10001")
-        assert (code, out, err) == (2, "", "error: proof steps need order <= 10000, got 10001\n")
+        assert (code, out, err) == (2, "", "error: --order is capped at 10000, got 10001\n")
 
     @pytest.mark.parametrize("suite", ["all", "combinatorial"])
     def test_enum_bound_past_its_cap_exits_before_any_suite(self, capsys, monkeypatch, suite):
@@ -454,6 +454,22 @@ class TestCache:
         assert code == 0
         assert second == "0 0\n1 1\n2 2\n3 3\n4 4\n5 5\n6 6\n"
 
+    @pytest.mark.parametrize("blocker", ["cache directory", "cache entry"])
+    def test_unwritable_cache_warns_and_still_exports(self, tmp_path, capsys, blocker):
+        # a regular file where the cache directory should be, or a directory
+        # where the entry should be: the values are still computed and printed
+        argv = ["export", "--stat", "t", "--max", "4", "--order", "10"]
+        cache = tmp_path / "cache"
+        if blocker == "cache directory":
+            cache.write_text("")
+        else:
+            (cache / f"t-o10-v{stanleypf.__version__}.json").mkdir(parents=True)
+        _, expected, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out) == (0, expected)
+        assert f"warning: cannot write to cache {cache}: " in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_cache_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STANLEYPF_CACHE", str(tmp_path))
         code, _, _ = run(capsys, "export", "--stat", "u", "--max", "4",
@@ -472,6 +488,22 @@ class TestEntryPoints:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert "stanleypf" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--stats", "p", "--max", "4"],
+        ["verify", "--suite", "congruences"],
+        ["partition", "--n", "4"],
+        ["export", "--stat", "f", "--max", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_order_past_its_cap_exits_before_any_work(self, capsys, monkeypatch, argv):
+        from stanleypf.cli import ORDER_CAP
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a command ran past the order cap")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", no_work)
+        code, out, err = run(capsys, *argv, "--order", str(ORDER_CAP + 1))
+        assert (code, out, err) == (2, "", f"error: --order is capped at {ORDER_CAP}, got {ORDER_CAP + 1}\n")
 
     def test_order_below_two_rejected(self, capsys):
         code, _, err = run(capsys, "table", "--stats", "p", "--max", "1", "--order", "1")

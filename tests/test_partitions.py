@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
-    Partition,
     _hook_rows,
     _statistics,
     classify,
@@ -17,29 +16,8 @@ from stanleypf.partitions import (
 )
 
 random_partitions = st.lists(st.integers(min_value=1, max_value=12), max_size=12).map(
-    lambda xs: Partition(sorted(xs, reverse=True))
+    lambda xs: tuple(sorted(xs, reverse=True))
 )
-
-
-class TestPartitionType:
-    def test_valid(self):
-        lam = Partition((3, 1))
-        assert lam == (3, 1)
-        assert lam.n == 4
-
-    def test_empty(self):
-        assert Partition().n == 0
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            Partition((1, 3))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Partition((2, 0))
-
-    def test_repr(self):
-        assert repr(Partition((2, 1))) == "Partition((2, 1))"
 
 
 class TestEnumeration:
@@ -65,7 +43,7 @@ class TestEnumeration:
 
     def test_all_valid_and_sum_to_n(self):
         for lam in partitions_of(9):
-            assert lam.n == 9
+            assert sum(lam) == 9
             assert all(a >= b for a, b in zip(lam, lam[1:]))
 
     def test_negative_rejected(self):
@@ -75,9 +53,9 @@ class TestEnumeration:
 
 class TestConjugate:
     def test_examples(self):
-        assert conjugate(Partition((3, 1))) == (2, 1, 1)
-        assert conjugate(Partition()) == ()
-        assert conjugate(Partition((2, 1))) == (2, 1)
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert conjugate(()) == ()
+        assert conjugate((2, 1)) == (2, 1)
 
     def test_involution_exhaustive(self):
         for n in range(26):
@@ -104,7 +82,7 @@ class TestOddParts:
     @given(random_partitions)
     @settings(max_examples=150)
     def test_parity_matches_n(self, lam):
-        n = lam.n
+        n = sum(lam)
         assert odd_parts_count(lam) % 2 == n % 2
         assert odd_parts_count(conjugate(lam)) % 2 == n % 2
 

@@ -134,41 +134,16 @@ def test_coefficients_at_order_2000_are_pinned(name):
 
 
 class TestStanleyTable:
-    def test_sources_agree(self):
-        enum = stanley.table_from_enumeration(14)
-        gf = stanley.table_from_series(14)
-        assert enum.p == gf.p
-        assert enum.t == gf.t
-        assert enum.u == gf.u
-        assert enum.f == gf.f
-        assert enum.source == "enumeration"
-        assert gf.source == "generating-function"
-
-    def test_identities_enforced(self):
-        with pytest.raises(stanley.IdentityError, match=r"p\(n\) = t\(n\) \+ u\(n\)"):
-            stanley.StanleyTable(1, (1, 1), (1, 1), (0, 1), (1, 1), "enumeration")
-        with pytest.raises(stanley.IdentityError, match=r"f\(n\) = t\(n\) - u\(n\)"):
-            stanley.StanleyTable(1, (1, 1), (1, 1), (0, 0), (1, 0), "enumeration")
-
-    def test_bad_source_rejected(self):
-        with pytest.raises(ValueError, match="source"):
-            stanley.StanleyTable(0, (1,), (1,), (0,), (1,), "guesswork")
-
     def test_column_accessor(self):
-        table = stanley.table_from_series(4)
+        table = stanley.table_from_dp(4)
         assert table.column("t") == (1, 1, 0, 1, 5)
         with pytest.raises(ValueError):
             table.column("x")
-
-    def test_series_order_must_cover_max_n(self):
-        with pytest.raises(ValueError):
-            stanley.table_from_series(10, order=5)
 
 
 class TestPartitionDP:
     def test_equals_brute_force_to_sixty(self, enum_table_60):
         dp = stanley.table_from_dp(60)
-        assert dp.source == stanley.SOURCE_DP == "enumeration-dp"
         for stat in ("p", "t", "u", "f"):
             assert dp.column(stat) == enum_table_60.column(stat), stat
 

@@ -243,6 +243,32 @@ class TestClosedFormMutations:
         assert missed == []
 
 
+class TestTripleProductMutations:
+    """Every factor of every triple product must matter: one more power of
+    any one of the three factors must fail that specialization."""
+
+    ORDER = 200
+
+    def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
+        real = verify._prod
+        mutants, missed = 0, []
+        for k in range(verify.DEFAULT_JTP_MAX_K + 1):
+            for sign in (1, -1):
+                for target in range(3):
+
+                    def mutant(n, *fs, target=target):
+                        sign_, offset, step, exponent = fs[target]
+                        mutated = (sign_, offset, step, _one_more_power(exponent))
+                        return real(n, *fs[:target], mutated, *fs[target + 1:])
+
+                    monkeypatch.setattr(verify, "_prod", mutant)
+                    mutants += 1
+                    if check_jtp(k, sign, self.ORDER).passed:
+                        missed.append((k, sign, target))
+        assert mutants == 66
+        assert missed == []
+
+
 class TestCombinatorialChecks:
     def test_hook_parity(self):
         assert check_hook_parity(12).passed
@@ -283,6 +309,32 @@ class TestCongruences:
     def test_tiny_order_rejected(self):
         with pytest.raises(ValueError):
             check_congruences(1)
+
+    # (series, n, offset planted at n, the failing reports as (name, index, lhs, rhs))
+    PLANTED = [
+        # t(9) = 20 becomes 21: 9 = 5 * 1 + 4, and p(9) = 30 is even
+        ("t_series_andrews", 9, 1, [("cong/t-at-5n-plus-4-divisible-by-5", 1, 1, 0),
+                                    ("cong/t-parity-equals-p-parity", 9, 1, 0)]),
+        # u(3) = 2 becomes 3
+        ("u_series", 3, 1, [("cong/u-always-even", 3, 1, 0)]),
+        # f(2) = -2 becomes 0, while p(2) = 2; the parity of f is never checked
+        ("f_series", 2, 2, [("cong/f-equals-p-mod-4", 2, 0, 2)]),
+    ]
+
+    @pytest.mark.parametrize("name, n, offset, failures", PLANTED, ids=[p[0] for p in PLANTED])
+    def test_planted_offset_fails_the_congruences_that_read_it(self, monkeypatch, name, n, offset, failures):
+        real = getattr(stanley, name)
+
+        def planted(order):
+            coeffs = list(real(order).coeffs)
+            coeffs[n] += offset
+            return TruncatedSeries(tuple(coeffs))
+
+        monkeypatch.setattr(stanley, name, planted)
+        failed = {check: witnesses for check, *witnesses in failures}
+        names = ["cong/t-at-5n-plus-4-divisible-by-5", "cong/t-parity-equals-p-parity",
+                 "cong/f-equals-p-mod-4", "cong/u-always-even"]
+        assert check_congruences(60) == [_report(check, 60, *failed.get(check, ())) for check in names]
 
 
 class TestSuites:
@@ -521,13 +573,13 @@ class TestCombinatorialFaultInjection:
 
     @pytest.fixture
     def misconjugated(self, monkeypatch):
-        real = partitions._conjugate_parts
+        real = partitions.conjugate
 
-        def planted(parts):
+        def planted(lam):
             # (1, 1, 1) is sent to (2, 1), the self-conjugate partition of 3
-            return (2, 1) if tuple(parts) == (1, 1, 1) else real(parts)
+            return (2, 1) if tuple(lam) == (1, 1, 1) else real(lam)
 
-        monkeypatch.setattr(partitions, "_conjugate_parts", planted)
+        monkeypatch.setattr(partitions, "conjugate", planted)
 
     @staticmethod
     def _hook_fault_reports(enum_bound, corner_bound):
