@@ -14,14 +14,13 @@ never held whole and costs a few writes, not one per line. A JSON listing
 is one document and holds the whole list.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a failed
-check, or an internal identity failing on computed values), 2 usage error,
-3 I/O error.
+check; an internal identity failing on computed values shows as failed
+checks), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -97,8 +96,10 @@ def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
             json.dump(payload, fh)
         os.replace(tmp, path)
     except OSError:
-        with contextlib.suppress(FileNotFoundError):
+        try:
             os.remove(tmp)
+        except FileNotFoundError:
+            pass
         raise
     return path
 
@@ -429,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
 
         args.cache = args.cache or os.environ.get(CACHE_ENV_VAR)  # --cache "" falls back too
         return args.run(args, sys.stdout)
-    except stanley.IdentityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,22 +13,18 @@ cell convention for Young diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 
-@dataclass(frozen=True)
-class PartitionStats:
+class PartitionStats(namedtuple("PartitionStats", "odd_parts odd_parts_conjugate even_hooks is_t_type")):
     """Per-partition record of the statistics studied here.
 
     is_t_type is True when O(lambda) == O(lambda') mod 4; the complementary
     partitions (difference 2 mod 4) are called u-type.
     """
 
-    odd_parts: int
-    odd_parts_conjugate: int
-    even_hooks: int
-    is_t_type: bool
+    __slots__ = ()
 
 
 def _parts_stream(n: int) -> Iterator[list[int]]:

@@ -21,36 +21,51 @@ per-coefficient loops run in C. They add zero coefficients too, where a
 Python loop would skip them; what is left of their cost is big-integer
 arithmetic.
 
-All values are immutable after construction; every function here is pure.
+All values are immutable after construction. A series keeps its
+coefficients in ``__slots__`` and refuses assignment with AttributeError;
+the specs are named tuples. Every function here is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import repeat
 from math import isqrt
 from operator import add, mul, sub
-from typing import Iterable
 
 #: Dilations may not push a series beyond this order; raising instead of
 #: capping keeps identity checks honest.
 MAX_DILATION_ORDER = 10_000
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Formal power series sum_k coeffs[k] q^k, exact up to q^order."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) == 0:
             raise ValueError("a truncated series needs at least its constant term")
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be integers, got {type(c).__name__}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def order(self) -> int:
@@ -84,8 +99,7 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(namedtuple("ProductSpec", "factors")):
     """Product of factors prod_{i>=0} (1 + sign*q^(offset + step*i))^exponent.
 
     Each factor is a tuple (sign, offset, step, exponent). With sign=-1 this
@@ -95,10 +109,10 @@ class ProductSpec:
     sign=-1, offset=0 the product vanishes and the spec is invalid.
     """
 
-    factors: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
+    def __new__(cls, factors: Iterable[Iterable[int]]) -> ProductSpec:
+        return super().__new__(cls, tuple(tuple(f) for f in factors))
 
     def validate(self) -> None:
         for f in self.factors:
@@ -121,18 +135,14 @@ class ProductSpec:
                     )
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(namedtuple("ThetaSpec", "a b c alternating", defaults=(False,))):
     """Bilateral sum over all integers n of (+/-1)^n q^(a n^2 + b n + c).
 
     a > 0 guarantees only finitely many n contribute below any truncation
     order. With alternating=True the term carries sign (-1)^n.
     """
 
-    a: int
-    b: int
-    c: int
-    alternating: bool = False
+    __slots__ = ()
 
 
 def series_monomial(coef: int, exp: int, order: int) -> TruncatedSeries:

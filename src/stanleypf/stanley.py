@@ -30,7 +30,7 @@ a ``TruncatedSeries``, and ``verify`` compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
@@ -169,8 +169,7 @@ def t_bruteforce(n: int) -> int:
     return _enumeration_counts(n)[1]
 
 
-@dataclass(frozen=True)
-class StanleyTable:
+class StanleyTable(namedtuple("StanleyTable", "max_n p t u f")):
     """Columns p, t, u, f for 0..max_n from one combinatorial counter.
 
     ``_table_from_counts`` is the only constructor. It derives u = p - t
@@ -178,11 +177,7 @@ class StanleyTable:
     by construction.
     """
 
-    max_n: int
-    p: tuple[int, ...]
-    t: tuple[int, ...]
-    u: tuple[int, ...]
-    f: tuple[int, ...]
+    __slots__ = ()
 
     def column(self, stat: str) -> tuple[int, ...]:
         if stat not in ("p", "t", "u", "f"):

@@ -21,8 +21,8 @@ or bound they were verified to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import stanley
 from .partitions import (
@@ -57,30 +57,25 @@ DEFAULT_JTP_MAX_K = 10
 SUITE_NAMES = ("all", "series", "combinatorial", "proof-steps", "congruences")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "check_name order_or_bound passed first_failure_index lhs_value rhs_value",
+        defaults=(None, None, None),
+    )
+):
     """Outcome of one identity or enumeration check."""
 
-    check_name: str
-    order_or_bound: int
-    passed: bool
-    first_failure_index: int | None = None
-    lhs_value: int | None = None
-    rhs_value: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> VerificationReport:
+        self = super().__new__(cls, *args, **kwargs)
         if self.passed != (self.first_failure_index is None):
             raise ValueError("passed must hold exactly when there is no failure index")
+        return self
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "order_or_bound": self.order_or_bound,
-            "passed": self.passed,
-            "first_failure_index": self.first_failure_index,
-            "lhs_value": self.lhs_value,
-            "rhs_value": self.rhs_value,
-        }
+        return self._asdict()
 
     def to_line(self) -> str:
         if self.passed:
