@@ -69,6 +69,34 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
+def _prefix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
+    """Yield (n, lam, lam', O(lam), O(lam')) for every partition of n <= n_max.
+
+    A depth-first walk of the prefix tree: the root is (), and the children
+    of lam append one part x <= its last part, smallest x first. So the
+    partitions of each n come in increasing lex order, interleaved across n,
+    and each one's prefixes come before it. Appending x to lam, of length l,
+    turns columns 1..x from height l into l + 1, so lam' becomes
+    (l + 1,) * x + lam'[x:], O gains x & 1, and O' moves by x, up when l is
+    even and down when it is odd.
+    """
+    if n_max < 0:
+        raise ValueError(f"cannot partition a negative integer {n_max}")
+    stack = [(0, (), (), 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        yield node
+        n, lam, conj, odd, odd_conj = node
+        rows = len(lam) + 1
+        step = 1 if rows & 1 else -1
+        room = n_max - n
+        cap = lam[-1] if lam and lam[-1] < room else room
+        # pushed largest first, so the smallest x is popped first
+        for x in range(cap, 0, -1):
+            push((n + x, lam + (x,), (rows,) * x + conj[x:], odd + (x & 1), odd_conj + step * x))
+
+
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
     """The conjugate partition: column lengths of the Young diagram."""
     if not lam:

@@ -10,10 +10,13 @@ The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
 combinatorial suite ties that DP to exhaustive enumeration: its even-hook
 counts over every partition of n <= ``enum_bound`` must equal the DP's t(n).
-The suite makes one shared pass over those partitions. Each partition's
-conjugate, odd-part counts and cell-by-cell even-hook count are computed
-once and feed all four combinatorial checks; the odd-part side and the
-hook side share only the partition and its conjugate.
+The suite makes one shared depth-first walk of the partition prefix tree
+(``partitions._prefix_walk``), which carries each partition's conjugate and
+both odd-part counts down from its parent. The even-hook count is still
+made cell by cell from the partition and its conjugate, once per
+partition, and all four combinatorial checks read these values; the
+odd-part side and the hook side share only the partition and its
+conjugate.
 
 Passing at a finite order is evidence, not proof: reports state the order
 or bound they were verified to.
@@ -24,14 +27,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from . import stanley
-from .partitions import (
-    _statistics,
-    conjugate,
-    inner_corners,
-    odd_parts_count,
-    partitions_of,
-)
+from . import partitions, stanley
+from .partitions import inner_corners, odd_parts_count
 from .series_core import (
     MAX_DILATION_ORDER,
     ProductSpec,
@@ -349,65 +346,93 @@ def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
     return VerificationReport(name, bound, False, *failure)
 
 
-def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[VerificationReport]:
-    """One pass over every partition of n <= max(enum_bound, corner_bound).
+def _earlier(first: tuple | None, n: int, k: int, witnesses: tuple) -> tuple:
+    # Failures are ranked as the reports index them: by n, then in
+    # decreasing lex order, which puts the walk's later partitions of n first.
+    if first is None or (n, -k) < first[0]:
+        return (n, -k), witnesses
+    return first
 
-    Each partition is enumerated once, and its conjugate, odd-part counts
-    and even-hook count are computed once (``partitions._statistics``).
-    They feed hook parity, the hook counts and conjugation pairing for
-    n <= enum_bound, and the corner lemma for 1 <= n <= corner_bound. Each
-    check keeps the index and witnesses of its own first failure, so every
-    report is what that check would give in a sweep of its own.
+
+def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[VerificationReport]:
+    """One walk over every partition of n <= max(enum_bound, corner_bound).
+
+    ``partitions._prefix_walk`` yields each partition once, with its
+    conjugate and both odd-part counts carried down the prefix tree; the
+    even-hook count is made cell by cell from the partition and its
+    conjugate (``partitions._even_hooks``). They feed hook parity, the hook
+    counts and conjugation pairing for n <= enum_bound, and the corner
+    lemma for 1 <= n <= corner_bound. The walk meets each n's partitions
+    in increasing lex order; a failure is indexed in decreasing lex order
+    within each n, from the walk's own count of each n. Each check keeps
+    the index and witnesses of its own first failure, so every report is
+    what that check would give in a sweep of its own.
 
     Returns six reports in suite order: hook parity, the corner lemma, the
     three hook-counting identities, conjugation pairing.
     """
+    top = max(enum_bound, corner_bound)
+    seen = [0] * (top + 1)  # per n: partitions the walk has yielded so far
+    even_counts = [0] * (enum_bound + 1)  # per n <= enum_bound: partitions with evenly many even hooks
+    odd_counts = [0] * (enum_bound + 1)  # ... and with oddly many
+    # each check's first failure so far, as ((n, -k), witnesses), where k
+    # counts the partitions of n the walk yielded before this one
     parity_failure = corner_failure = pairing_failure = None
-    even_counts: list[int] = []  # per n <= enum_bound: partitions with evenly many even hooks
-    odd_counts: list[int] = []  # ... and with oddly many
-    # H_e of every partition of n - 1, for the corner lemma's lambda-minus
+    # H_e by partition, for the corner lemma's lambda-minus, over the
+    # subtrees of the current first part and the one before it
+    hooks: dict[tuple[int, ...], int] = {}
     previous_hooks: dict[tuple[int, ...], int] = {}
-    index = 0  # global, counting from the empty partition
-    for n in range(max(enum_bound, corner_bound) + 1):
-        enumerated = n <= enum_bound
-        corners = 1 <= n <= corner_bound
-        hooks: dict[tuple[int, ...], int] = {}
-        even = odd = 0
-        for lam in partitions_of(n):
-            conj, odd_parts, odd_parts_conj, even_hooks = _statistics(lam)
-            if enumerated:
-                type_mod_4 = (odd_parts - odd_parts_conj) % 4
-                if parity_failure is None and (type_mod_4 == 0) != (even_hooks % 2 == 0):
-                    parity_failure = (index, type_mod_4, even_hooks)
-                if even_hooks % 2 == 0:
-                    even += 1
-                else:
-                    odd += 1
-                # a u-type lambda needs a distinct u-type conjugate; the
-                # partner's type is read from its own conjugate, lambda''
-                if pairing_failure is None and type_mod_4 and (
-                    conj == lam or (odd_parts_conj - odd_parts_count(conjugate(conj))) % 4 == 0
+    first_part = 0
+    for n, lam, conj, odd_parts, odd_parts_conj in partitions._prefix_walk(top):
+        k = seen[n]
+        seen[n] = k + 1
+        even_hooks = partitions._even_hooks(lam, conj)
+        if n <= enum_bound:
+            type_mod_4 = (odd_parts - odd_parts_conj) % 4
+            if (type_mod_4 == 0) != (even_hooks % 2 == 0):
+                parity_failure = _earlier(parity_failure, n, k, (type_mod_4, even_hooks))
+            if even_hooks % 2 == 0:
+                even_counts[n] += 1
+            else:
+                odd_counts[n] += 1
+            # a u-type lambda needs a distinct u-type conjugate; the
+            # partner's type is read from its own conjugate, lambda''
+            if type_mod_4 and (
+                conj == lam or (odd_parts_conj - odd_parts_count(partitions.conjugate(conj))) % 4 == 0
+            ):
+                pairing_failure = _earlier(pairing_failure, n, k, (n, None))
+        if 1 <= n <= corner_bound:
+            if lam[0] != first_part:
+                first_part = lam[0]
+                previous_hooks, hooks = hooks, {}
+            for i, j in inner_corners(lam):
+                # a corner in column 1 is the whole last row; removing a
+                # corner from row 1 leaves the previous first part
+                removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
+                removed_hooks = (previous_hooks if i == 1 else hooks).get(removed)
+                # a lambda-minus the walk never yielded fails the corner
+                if removed_hooks is None or (
+                    ((even_hooks - removed_hooks) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0)
                 ):
-                    pairing_failure = (index, n, None)
-            if corners and corner_failure is None:
-                for i, j in inner_corners(lam):
-                    # a corner in column 1 is the whole last row
-                    removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
-                    same_hook_parity = (even_hooks - previous_hooks[removed]) % 2 == 0
-                    same_cell_parity = (j - conj[j - 1]) % 2 == 0
-                    if same_hook_parity != same_cell_parity:
-                        corner_failure = (index - 1, i, j)  # counted from n = 1
-                        break
-            if n < corner_bound:
-                hooks[lam] = even_hooks
-            index += 1
-        if enumerated:
-            even_counts.append(even)
-            odd_counts.append(odd)
-        previous_hooks = hooks
+                    corner_failure = _earlier(corner_failure, n, k, (i, j))
+                    break
+        if n < corner_bound:
+            hooks[lam] = even_hooks
+    # global indices count from the empty partition, in decreasing lex
+    # order within each n, from the walk's own counts
+    offsets = [0]
+    for count in seen:
+        offsets.append(offsets[-1] + count)
+
+    def indexed(first: tuple | None, shift: int = 0) -> tuple | None:
+        if first is None:
+            return None
+        (n, minus_k), witnesses = first
+        return (offsets[n + 1] - 1 + minus_k - shift, *witnesses)
+
     return [
-        _report("comb/hook-parity-equivalence", enum_bound, parity_failure),
-        _report("comb/corner-parity-lemma", corner_bound, corner_failure),
+        _report("comb/hook-parity-equivalence", enum_bound, indexed(parity_failure)),
+        _report("comb/corner-parity-lemma", corner_bound, indexed(corner_failure, 1)),  # counted from n = 1
         _values_equal(
             "comb/even-hook-partitions-equal-t",
             enum_bound,
@@ -426,7 +451,7 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             [e - o for e, o in zip(even_counts, odd_counts)],
             list(stanley.f_series(enum_bound).coeffs),
         ),
-        _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
+        _report("comb/u-partitions-pair-under-conjugation", enum_bound, indexed(pairing_failure)),
     ]
 
 
@@ -446,10 +471,13 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
 
     At each inner corner v = (i, j) of each partition of 1 <= n <= n_max it
     compares H_e(lambda) = H_e(lambda-) mod 2 with lambda_i = lambda'_j mod
-    2 (see ``partitions.corner_parity_check``); H_e(lambda-) is the count
-    the sweep made for lambda- at n - 1. A failure records the partition's
-    index from n = 1 and the corner (i, j). The check is one part of the
-    shared combinatorial sweep.
+    2 (see ``partitions.corner_parity_check``). Both even-hook counts are
+    made cell by cell; H_e(lambda-) is the count the sweep made when its
+    walk met lambda-, which comes before lambda and has the same first part
+    or one less, so the sweep holds the counts of two first parts at a
+    time. A failure records the partition's index from n = 1 and the corner
+    (i, j); a lambda- that the walk never yielded fails at its first
+    lambda. The check is one part of the shared combinatorial sweep.
     """
     return _combinatorial_sweep(0, n_max)[1]
 

@@ -369,6 +369,42 @@ class TestExport:
         with pytest.raises(ValueError, match="contiguous"):
             parse_bfile("0 1\n2 3\n")
 
+    @pytest.mark.parametrize("text", [
+        "n,p\n0,1\n5,3\n",  # a gap in the index column
+        "n,p\n1,1\n",  # not from 0
+        "n,p\n1,1\n0,1\n",  # out of order
+        "0,1\n1,1\n",  # no header
+        "k,p\n0,1\n",
+        "n,x\n0,1\n",
+        "n,p,u\n0,1,0\n",
+        "n,p\n0,1,2\n",
+        "",
+    ])
+    def test_csv_must_have_its_header_and_contiguous_indices(self, text):
+        with pytest.raises(ValueError):
+            parse_csv(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"stat": "p", "offset": 0, "values": [1, 1.5]}',
+        '{"stat": "p", "offset": 0, "values": [1, true]}',
+        '{"stat": "p", "offset": 0, "values": [1, null]}',
+        '{"stat": "p", "offset": 0, "values": ["1.0"]}',
+        '{"stat": "p", "offset": 0, "values": [" 7"]}',
+        '{"stat": "p", "offset": 0, "values": ["1_000"]}',
+        '{"stat": "p", "offset": 1, "values": [1]}',
+        '{"stat": "p", "offset": false, "values": [1]}',
+        '{"stat": "p", "values": [1]}',
+        '{"stat": "p", "offset": 0, "values": "11"}',
+        '[1, 1]',
+    ])
+    def test_json_export_takes_integers_from_offset_zero(self, text):
+        with pytest.raises(ValueError):
+            parse_json_export(text)
+
+    def test_json_export_reads_decimal_strings(self):
+        text = '{"stat": "u", "offset": 0, "values": [0, "-9007199254740993", 2]}'
+        assert parse_json_export(text) == [0, -(2**53) - 1, 2]
+
     def test_json_big_integers_become_strings(self):
         big = 2**63 + 7
         assert _json_coeff(big) == str(big)

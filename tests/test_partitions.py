@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
     _hook_rows,
+    _prefix_walk,
     _statistics,
     classify,
     conjugate,
@@ -49,6 +50,43 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             next(partitions_of(-1))
+
+
+class TestPrefixWalk:
+    def test_small_walk_in_order(self):
+        assert list(_prefix_walk(3)) == [
+            (0, (), (), 0, 0),
+            (1, (1,), (1,), 1, 1),
+            (2, (1, 1), (2,), 2, 0),
+            (3, (1, 1, 1), (3,), 3, 1),
+            (2, (2,), (1, 1), 0, 2),
+            (3, (2, 1), (2, 1), 1, 1),
+            (3, (3,), (1, 1, 1), 1, 3),
+        ]
+
+    def test_each_partition_once_with_its_statistics(self):
+        by_weight = {}
+        for n, lam, conj, odd, odd_conj in _prefix_walk(20):
+            assert sum(lam) == n
+            assert conj == conjugate(lam)
+            assert odd == odd_parts_count(lam)
+            assert odd_conj == odd_parts_count(conjugate(lam))
+            by_weight.setdefault(n, []).append(lam)
+        assert sorted(by_weight) == list(range(21))
+        for n, seen in by_weight.items():
+            # increasing lex order: partitions_of's order, reversed
+            assert seen == list(partitions_of(n))[::-1]
+
+    def test_prefixes_come_first(self):
+        seen = set()
+        for _n, lam, *_ in _prefix_walk(12):
+            assert lam[:-1] in seen or not lam
+            seen.add(lam)
+
+    def test_bounds(self):
+        assert list(_prefix_walk(0)) == [(0, (), (), 0, 0)]
+        with pytest.raises(ValueError):
+            next(_prefix_walk(-1))
 
 
 class TestConjugate:

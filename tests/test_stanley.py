@@ -166,5 +166,5 @@ class TestPartitionDP:
     def test_independent_of_series_and_stream(self):
         # the oracle must not share code with either route it checks
         code = stanley.table_from_dp.__code__.co_names + stanley._odd_count_shift.__code__.co_names
-        assert not {"_parts_stream", "_enumeration_counts", "eta_quotient", "expand_product",
+        assert not {"_parts_stream", "_prefix_walk", "_enumeration_counts", "eta_quotient", "expand_product",
                     "series_mul", "series_reciprocal", "p_series"} & set(code)

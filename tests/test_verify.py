@@ -386,14 +386,14 @@ class TestSuites:
 
     def test_combinatorial_suite_enumerates_each_partition_once(self, monkeypatch):
         visits = Counter()
-        stream = verify.partitions_of
+        walk = partitions._prefix_walk
 
-        def counted(n):
-            for lam in stream(n):
-                visits[lam] += 1
-                yield lam
+        def counted(n_max):
+            for node in walk(n_max):
+                visits[node[1]] += 1
+                yield node
 
-        monkeypatch.setattr(verify, "partitions_of", counted)
+        monkeypatch.setattr(partitions, "_prefix_walk", counted)
         assert all(r.passed for r in suite_combinatorial(25))
         assert len(visits) == 9296  # p(0) + ... + p(25)
         assert set(visits.values()) == {1}
@@ -573,13 +573,15 @@ class TestCombinatorialFaultInjection:
 
     @pytest.fixture
     def misconjugated(self, monkeypatch):
-        real = partitions.conjugate
+        walk = partitions._prefix_walk
 
-        def planted(lam):
-            # (1, 1, 1) is sent to (2, 1), the self-conjugate partition of 3
-            return (2, 1) if tuple(lam) == (1, 1, 1) else real(lam)
+        def planted(n_max):
+            # the walk hands (1, 1, 1) the conjugate (2, 1), the
+            # self-conjugate partition of 3
+            for n, lam, conj, odd, odd_conj in walk(n_max):
+                yield n, lam, (2, 1) if lam == (1, 1, 1) else conj, odd, odd_conj
 
-        monkeypatch.setattr(partitions, "conjugate", planted)
+        monkeypatch.setattr(partitions, "_prefix_walk", planted)
 
     @staticmethod
     def _hook_fault_reports(enum_bound, corner_bound):
@@ -622,3 +624,121 @@ class TestCombinatorialFaultInjection:
         assert suite_combinatorial(25)[-1] == expected
         assert check_conjugation_pairing(25) == expected
         assert check_conjugation_pairing(2).passed
+
+
+def _reference_sweep(enum_bound, corner_bound):
+    """The six combinatorial reports, each check run on its own in
+    decreasing lex order within each n, from the per-partition helpers."""
+    parity = corner = pairing = None
+    even, odd = [], []
+    index = 0  # counting from the empty partition
+    for n in range(max(enum_bound, corner_bound) + 1):
+        counts = [0, 0]
+        for lam in partitions.partitions_of(n):
+            stats = partitions.classify(lam)
+            if n <= enum_bound:
+                type_mod_4 = (stats.odd_parts - stats.odd_parts_conjugate) % 4
+                if parity is None and stats.is_t_type != (stats.even_hooks % 2 == 0):
+                    parity = (index, type_mod_4, stats.even_hooks)
+                counts[stats.even_hooks % 2] += 1
+                # the partner's type, from O(lambda') and O(lambda'')
+                conj = partitions.conjugate(lam)
+                partner_type = stats.odd_parts_conjugate - verify.odd_parts_count(partitions.conjugate(conj))
+                if pairing is None and type_mod_4 and (conj == lam or partner_type % 4 == 0):
+                    pairing = (index, n, None)
+            if corner is None and 1 <= n <= corner_bound:
+                for v in partitions.inner_corners(lam):
+                    if not partitions.corner_parity_check(lam, v):
+                        corner = (index - 1, *v)
+                        break
+            index += 1
+        if n <= enum_bound:
+            even.append(counts[0])
+            odd.append(counts[1])
+    t = stanley.table_from_dp(enum_bound).t
+    f = stanley.f_series(enum_bound).coeffs
+
+    def first(name, lhs, rhs):
+        bad = [k for k in range(enum_bound + 1) if lhs[k] != rhs[k]]
+        return _report(name, enum_bound, *((bad[0], lhs[bad[0]], rhs[bad[0]]) if bad else ()))
+
+    return [
+        _report("comb/hook-parity-equivalence", enum_bound, *(parity or ())),
+        _report("comb/corner-parity-lemma", corner_bound, *(corner or ())),
+        first("comb/even-hook-partitions-equal-t", even, t),
+        first("comb/odd-hook-partitions-count-even", [c % 2 for c in odd], [0] * (enum_bound + 1)),
+        first("comb/signed-hook-count-equals-f", [e - o for e, o in zip(even, odd)], f),
+        _report("comb/u-partitions-pair-under-conjugation", enum_bound, *(pairing or ())),
+    ]
+
+
+class TestCombinatorialWalk:
+    """The sweep walks the partition prefix tree in increasing lex order and
+    reports each failure at its index in decreasing lex order, as a check
+    run partition by partition would."""
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (1, 1), (25, 20), (0, 20), (20, 3), (3, 14), (12, 12)])
+    def test_reports_match_the_reference(self, bounds):
+        assert verify._combinatorial_sweep(*bounds) == _reference_sweep(*bounds)
+
+    @pytest.mark.parametrize("planted", [
+        {(3, 2)},
+        {(2, 2, 1), (4, 1), (6, 3, 1)},
+        {(5, 4, 2, 1), (3, 3, 3, 3), (9, 1, 1, 1, 1)},
+        {(1,), (7, 7)},
+        {(12,), (1,) * 12, (4, 4, 2, 2)},
+    ])
+    def test_reports_match_the_reference_under_planted_faults(self, monkeypatch, planted):
+        real = partitions._even_hooks
+        monkeypatch.setattr(
+            partitions, "_even_hooks", lambda lam, conj: real(lam, conj) + (tuple(lam) in planted)
+        )
+        for bounds in ((14, 12), (0, 12), (14, 4)):
+            assert verify._combinatorial_sweep(*bounds) == _reference_sweep(*bounds)
+
+    @pytest.mark.parametrize("planted", [{(3,)}, {(6, 3), (2, 2, 2), (4, 1, 1)}, {(6, 1, 1), (2, 1, 1, 1, 1)}])
+    def test_pairing_matches_the_reference_under_planted_faults(self, monkeypatch, planted):
+        # the partner of each planted u-type partition reads as t-type
+        real = verify.odd_parts_count
+        monkeypatch.setattr(verify, "odd_parts_count", lambda lam: real(lam) + 2 * (tuple(lam) in planted))
+        assert verify._combinatorial_sweep(12, 8) == _reference_sweep(12, 8)
+
+    @staticmethod
+    def _replant(monkeypatch, times):
+        # the walk yields (4, 3), a t-type partition of 7 with evenly many
+        # even hooks, `times` times; its subtree is walked as usual
+        walk = partitions._prefix_walk
+
+        def planted(n_max):
+            for node in walk(n_max):
+                for _ in range(times if node[1] == (4, 3) else 1):
+                    yield node
+
+        monkeypatch.setattr(partitions, "_prefix_walk", planted)
+
+    def test_partition_yielded_twice(self, monkeypatch):
+        self._replant(monkeypatch, 2)
+        # t(7) = 5 and f(7) = -5
+        assert suite_combinatorial(25) == [
+            _report("comb/hook-parity-equivalence", 25),
+            _report("comb/corner-parity-lemma", 20),
+            _report("comb/even-hook-partitions-equal-t", 25, 7, 6, 5),
+            _report("comb/odd-hook-partitions-count-even", 25),
+            _report("comb/signed-hook-count-equals-f", 25, 7, -4, -5),
+            _report("comb/u-partitions-pair-under-conjugation", 25),
+        ]
+
+    def test_missing_partition_fails_the_corner_lemma(self, monkeypatch):
+        self._replant(monkeypatch, 0)
+        # (5, 3) is the first partition whose lambda-minus is (4, 3), at its
+        # corner (1, 5); with (4, 3) gone it is partition 47 from n = 1
+        assert suite_combinatorial(25) == [
+            _report("comb/hook-parity-equivalence", 25),
+            _report("comb/corner-parity-lemma", 20, 47, 1, 5),
+            _report("comb/even-hook-partitions-equal-t", 25, 7, 4, 5),
+            _report("comb/odd-hook-partitions-count-even", 25),
+            _report("comb/signed-hook-count-equals-f", 25, 7, -6, -5),
+            _report("comb/u-partitions-pair-under-conjugation", 25),
+        ]
+        assert check_corner_lemma(7).passed
+        assert check_corner_lemma(8) == _report("comb/corner-parity-lemma", 8, 47, 1, 5)
