@@ -18,12 +18,23 @@ partition, and all four combinatorial checks read these values; the
 odd-part side and the hook side share only the partition and its
 conjugate.
 
+``run_suite("all")`` runs the combinatorial suite in a child made with
+``os.fork`` while the parent runs the proof steps, the series suite and the
+congruences; the combinatorial suite shares no value with them, so a
+second CPU can do the sweep. Only the child's finished reports cross back,
+as plain tuples through a pipe with ``marshal``. Where ``os.fork`` is
+missing, only one CPU is usable or another thread runs, every suite runs in
+the one process.
+
 Passing at a finite order is evidence, not proof: reports state the order
 or bound they were verified to.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -135,6 +146,13 @@ def check_jtp(k: int, sign: int, order: int) -> VerificationReport:
     return assert_series_equal(f"series/jtp-k{k:02d}-{tag}", lhs, rhs)
 
 
+def _check_proof_order(order: int) -> None:
+    if order < 8:
+        raise ValueError(f"proof steps need order >= 8, got {order}")
+    if order > MAX_DILATION_ORDER:
+        raise ValueError(f"proof steps need order <= {MAX_DILATION_ORDER}, got {order}")
+
+
 def check_proof_steps(order: int) -> list[VerificationReport]:
     """Verify every displayed rewriting used to derive the u(n) closed forms.
 
@@ -146,10 +164,7 @@ def check_proof_steps(order: int) -> list[VerificationReport]:
     V(q) to V(q^4) stays within series_dilate's cap. Both are checked
     before anything is expanded.
     """
-    if order < 8:
-        raise ValueError(f"proof steps need order >= 8, got {order}")
-    if order > MAX_DILATION_ORDER:
-        raise ValueError(f"proof steps need order <= {MAX_DILATION_ORDER}, got {order}")
+    _check_proof_order(order)
     n = order
     q2 = series_monomial(1, 2, n)
 
@@ -611,23 +626,118 @@ def suite_combinatorial(enum_bound: int = DEFAULT_ENUM_BOUND) -> list[Verificati
     return _combinatorial_sweep(enum_bound, min(enum_bound, DEFAULT_CORNER_BOUND))
 
 
+_SIGKILL = 9  # POSIX, where os.fork exists; the signal module is not loaded for it
+
+
+def _may_fork() -> bool:
+    """Whether a forked child would run beside this process: ``os.fork``
+    exists, at least two CPUs are usable, and no other thread runs (a
+    child forked from a threaded process can deadlock, and Python 3.12+
+    warns)."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threading = sys.modules.get("threading")
+    return cpus >= 2 and (threading is None or threading.active_count() == 1)
+
+
+def _fork_combinatorial(enum_bound: int) -> tuple[int, int] | tuple[None, None]:
+    """Start ``suite_combinatorial(enum_bound)`` in a forked child.
+
+    Returns the child's pid and the read end of the pipe its reports come
+    down, or (None, None) where the suite is to run in this process.
+    """
+    if not _may_fork():
+        return None, None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None, None
+    if pid == 0:
+        # The child never returns into its caller's frames and never flushes
+        # the stdio buffers it inherited: os._exit ends it here, with status
+        # 0 only once every report is written.
+        status = 1
+        try:
+            os.close(read_fd)
+            data = memoryview(marshal.dumps([tuple(r) for r in suite_combinatorial(enum_bound)]))
+            while data:
+                data = data[os.write(write_fd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _drain(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """Everything the child wrote, read to end of file, and its wait status."""
+    chunks = []
+    while chunk := os.read(read_fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks), os.waitpid(pid, 0)[1]
+
+
+def _child_reports(data: bytes, status: int) -> list[VerificationReport] | None:
+    """The child's reports, or None unless it exited 0 and they decode."""
+    if status != 0:
+        return None
+    try:
+        return [VerificationReport(*fields) for fields in marshal.loads(data)]
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
 def run_suite(
     name: str,
     order: int = DEFAULT_ORDER,
     enum_bound: int = DEFAULT_ENUM_BOUND,
     oracle_bound: int = DEFAULT_ORACLE_BOUND,
 ) -> list[VerificationReport]:
-    """Run a named suite and return its reports sorted by check name."""
+    """Run a named suite and return its reports sorted by check name.
+
+    For ``all``, once the proof steps' order check has passed, the
+    combinatorial suite runs in a child made with ``os.fork`` while this
+    process runs the proof steps, the series suite and the congruences.
+    Only the child's finished reports come back, as plain tuples through a
+    pipe with ``marshal``. Where ``os.fork`` is missing, fewer than two CPUs
+    are usable or another thread runs, every suite runs in this process.
+    So does the combinatorial suite if the fork fails, the child exits
+    non-zero or its data is short or unreadable: the sweep is
+    deterministic, so the reports, or the exception the suite raises, are
+    the ones a run in this process gives. The child is reaped before the
+    call returns or raises, and killed first if it is still running.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     reports: list[VerificationReport] = []
-    # the proof steps go first, so an order they reject fails before any suite runs
-    if name in ("all", "proof-steps"):
-        reports.extend(check_proof_steps(order))
-    if name in ("all", "series"):
-        reports.extend(suite_series(order=order, oracle_bound=oracle_bound))
-    if name in ("all", "combinatorial"):
-        reports.extend(suite_combinatorial(enum_bound))
-    if name in ("all", "congruences"):
-        reports.extend(check_congruences(order))
+    pid = read_fd = None
+    if name == "all":
+        # an order the proof steps reject starts no child
+        _check_proof_order(order)
+        pid, read_fd = _fork_combinatorial(enum_bound)
+    try:
+        # the proof steps go first, so an order they reject fails before any suite runs
+        if name in ("all", "proof-steps"):
+            reports.extend(check_proof_steps(order))
+        if name in ("all", "series"):
+            reports.extend(suite_series(order=order, oracle_bound=oracle_bound))
+        if name in ("all", "combinatorial") and read_fd is None:  # no child runs it
+            reports.extend(suite_combinatorial(enum_bound))
+        if name in ("all", "congruences"):
+            reports.extend(check_congruences(order))
+        if pid is not None:
+            data, status = _drain(pid, read_fd)
+            pid = None
+            reports.extend(_child_reports(data, status) or suite_combinatorial(enum_bound))
+    finally:
+        if read_fd is not None:
+            os.close(read_fd)
+        if pid is not None:
+            # this process raised or was interrupted before it reaped the child
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
     return sorted(reports, key=lambda r: r.check_name)

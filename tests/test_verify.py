@@ -1,9 +1,15 @@
+import errno
 import inspect
+import marshal
+import os
+import signal
+import threading
+import time
 from collections import Counter
 
 import pytest
 
-from stanleypf import partitions, series_core, stanley, verify
+from stanleypf import cli, partitions, series_core, stanley, verify
 from stanleypf.series_core import TruncatedSeries
 from stanleypf.verify import (
     VerificationReport,
@@ -369,8 +375,20 @@ class TestSuites:
 
         for module in (series_core, stanley, verify):
             monkeypatch.setattr(module, "expand_product", counted)
+        # on one CPU every suite runs, and is counted, in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert all(r.passed for r in run_suite("all", 200, 25, 50))
         assert len(calls) <= 70
+        in_one_process = len(calls)
+        # the combinatorial suite makes one expansion, f to the enum bound ...
+        calls.clear()
+        assert all(r.passed for r in suite_combinatorial(25))
+        assert calls == [25]
+        # ... which a forked child makes in place of this process
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert all(r.passed for r in run_suite("all", 200, 25, 50))
+        assert len(calls) == in_one_process - 1
 
     def test_series_suite_dp_oracle_to_three_hundred(self):
         reports = suite_series(order=300, oracle_bound=300)
@@ -742,3 +760,229 @@ class TestCombinatorialWalk:
         ]
         assert check_corner_lemma(7).passed
         assert check_corner_lemma(8) == _report("comb/corner-parity-lemma", 8, 47, 1, 5)
+
+
+def _in_process(order, enum_bound, oracle_bound):
+    """What run_suite("all") reports, from each suite called in this process."""
+    reports = (
+        check_proof_steps(order)
+        + suite_series(order=order, oracle_bound=oracle_bound)
+        + suite_combinatorial(enum_bound)
+        + check_congruences(order)
+    )
+    return sorted(reports, key=lambda r: r.check_name)
+
+
+def _assert_no_child():
+    # every child this process made has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_child_only(monkeypatch, module, name, replacement):
+    """Rebind module.name to replacement in a forked child, leaving this
+    process's calls to the real function."""
+    parent = os.getpid()
+    real = getattr(module, name)
+
+    def dispatch(*args):
+        return (replacement if os.getpid() != parent else real)(*args)
+
+    monkeypatch.setattr(module, name, dispatch)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # whatever the host has, so run_suite("all") may fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def forks(two_cpus, monkeypatch):
+    """The pids of the children this process forks. A test that waits on a
+    child for 60 s raises TimeoutError, so a child that never exits fails
+    the test instead of hanging the session."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def expire(signum, frame):
+        raise TimeoutError("run_suite waited 60 s on its child")
+
+    monkeypatch.setattr(os, "fork", counted)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def fork():
+        pytest.fail("run_suite forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+class TestForkedCombinatorial:
+    """On two usable CPUs run_suite("all") runs the combinatorial suite in a
+    forked child. Its reports, and any exception the suite raises, are what
+    the suites give in this process, and no child outlives the call."""
+
+    @pytest.mark.parametrize("bounds", [(16, 8, 12), (200, 25, 50), (16, 0, 12)])
+    def test_reports_equal_the_suites_run_in_process(self, forks, bounds):
+        assert run_suite("all", *bounds) == _in_process(*bounds)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_a_planted_even_hook_fault_comes_back_unchanged(self, forks, monkeypatch):
+        real = partitions._even_hooks
+        monkeypatch.setattr(partitions, "_even_hooks", lambda lam, conj: real(lam, conj) + (lam == (3, 2)))
+        reports = run_suite("all", 16, 25, 12)
+        assert len(forks) == 1
+        assert reports == _in_process(16, 25, 12)
+        failing = [r for r in reports if not r.passed]
+        expected = TestCombinatorialFaultInjection._hook_fault_reports(25, 20)
+        assert failing == sorted((r for r in expected if not r.passed), key=lambda r: r.check_name)
+
+    def test_a_partition_walked_twice_comes_back_unchanged(self, forks, monkeypatch):
+        TestCombinatorialWalk._replant(monkeypatch, 2)
+        reports = run_suite("all", 16, 25, 12)
+        assert len(forks) == 1
+        assert reports == _in_process(16, 25, 12)
+        assert [r for r in reports if not r.passed] == [
+            _report("comb/even-hook-partitions-equal-t", 25, 7, 6, 5),
+            _report("comb/signed-hook-count-equals-f", 25, 7, -4, -5),
+        ]
+
+    def test_a_sweep_exception_reaches_the_caller(self, forks, monkeypatch):
+        def planted(enum_bound, corner_bound):
+            raise ArithmeticError(f"planted fault at bounds {enum_bound}, {corner_bound}")
+
+        monkeypatch.setattr(verify, "_combinatorial_sweep", planted)
+        with pytest.raises(ArithmeticError) as alone:
+            suite_combinatorial(8)
+        with pytest.raises(ArithmeticError) as forked:
+            run_suite("all", 16, 8, 12)
+        assert len(forks) == 1
+        assert (type(forked.value), str(forked.value)) == (type(alone.value), str(alone.value))
+        _assert_no_child()
+
+    @pytest.mark.parametrize("fault", ["raises", "short data", "unreadable data", "not reports"])
+    def test_a_failed_child_falls_back_in_process(self, forks, monkeypatch, fault):
+        if fault == "raises":
+            def failing(enum_bound):
+                raise RuntimeError("the child fails")
+
+            _in_child_only(monkeypatch, verify, "suite_combinatorial", failing)
+        else:
+            real = marshal.dumps
+            garble = {
+                "short data": lambda obj: real(obj)[:-1],
+                "unreadable data": lambda obj: b"\xff" + real(obj),
+                "not reports": lambda obj: real(len(obj)),
+            }[fault]
+            _in_child_only(monkeypatch, marshal, "dumps", garble)
+        assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+        assert len(forks) == 1
+        _assert_no_child()
+
+    @pytest.mark.parametrize("planted", [ArithmeticError, KeyboardInterrupt])
+    def test_no_child_outlives_a_raising_parent(self, forks, monkeypatch, planted):
+        def stalled(enum_bound):
+            time.sleep(60)
+
+        def raising(order):
+            raise planted("planted in the congruences")
+
+        _in_child_only(monkeypatch, verify, "suite_combinatorial", stalled)
+        monkeypatch.setattr(verify, "check_congruences", raising)
+        start = time.monotonic()
+        with pytest.raises(planted, match="^planted in the congruences$"):
+            run_suite("all", 16, 8, 12)
+        # the running child was killed, not waited for
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+        _assert_no_child()
+
+    def test_the_child_ends_in_os_exit_zero(self, forks, monkeypatch):
+        # a child that returned into its caller's frames would run on
+        # through this test session instead of calling os._exit
+        read_end, write_end = os.pipe()
+        real_exit = os._exit
+
+        def recorded(status):
+            os.write(write_end, bytes([status]))
+            real_exit(status)
+
+        monkeypatch.setattr(os, "_exit", recorded)
+        try:
+            assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+        finally:
+            os.close(write_end)
+            with open(read_end, "rb") as fh:
+                statuses = fh.read()
+        assert len(forks) == 1
+        assert statuses == b"\x00"
+
+    def test_the_child_leaves_inherited_buffers_unflushed(self, forks, tmp_path):
+        path = tmp_path / "out"
+        with open(path, "w") as fh:
+            fh.write("written once")
+            run_suite("all", 16, 8, 12)
+        assert len(forks) == 1
+        assert path.read_text() == "written once"
+
+    def test_a_failed_fork_runs_the_suite_in_process(self, two_cpus, monkeypatch):
+        tries = []
+
+        def no_pids():
+            tries.append(1)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_pids)
+        assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+        assert tries == [1]
+
+    def test_one_usable_cpu_runs_in_process(self, no_fork, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+
+    def test_one_cpu_without_affinity_runs_in_process(self, no_fork, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+
+    def test_no_fork_runs_in_process(self, two_cpus, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+
+    def test_a_second_thread_runs_in_process(self, no_fork, two_cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert run_suite("all", 16, 8, 12) == _in_process(16, 8, 12)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("order", [7, series_core.MAX_DILATION_ORDER + 1])
+    def test_an_order_the_proof_steps_reject_forks_nothing(self, no_fork, two_cpus, order):
+        with pytest.raises(ValueError, match=rf"^proof steps need order [<>]= \d+, got {order}$"):
+            run_suite("all", order=order)
+
+    def test_order_past_the_cap_on_the_command_line_forks_nothing(self, no_fork, two_cpus, capsys):
+        assert cli.main(["verify", "--suite", "all", "--order", "10001"]) == 2
+        assert capsys.readouterr().err == "error: --order is capped at 10000, got 10001\n"
+
+    @pytest.mark.parametrize("suite", ["series", "combinatorial", "proof-steps", "congruences"])
+    def test_single_suites_run_in_process(self, no_fork, two_cpus, suite):
+        assert run_suite(suite, 16, 8, 12)
