@@ -126,17 +126,6 @@ def hook_length(lam: Sequence[int], i: int, j: int) -> int:
     return lam[i - 1] - j + col - i + 1
 
 
-def _hook_rows(lam: Sequence[int], conj: Sequence[int]) -> Iterator[Iterator[int]]:
-    """Each row's hook lengths, as a lazy iterator, from lam and its conjugate.
-
-    Hook (i, j) = (lam_i - i + 1) + (conj_j - j): the column terms are made
-    once, and each row adds its own term to the first lam_i of them.
-    """
-    col_terms = [col - j for j, col in enumerate(conj, 1)]
-    for i, row in enumerate(lam, 1):
-        yield map((row - i + 1).__add__, col_terms[:row])
-
-
 def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
     # Cells are counted row by row. Hook (i, j) = lam_i - j + conj_j - i + 1
     # is even exactly when conj_j - j = i - 1 - lam_i mod 2, so row i holds

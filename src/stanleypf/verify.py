@@ -486,13 +486,23 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
 
     At each inner corner v = (i, j) of each partition of 1 <= n <= n_max it
     compares H_e(lambda) = H_e(lambda-) mod 2 with lambda_i = lambda'_j mod
-    2 (see ``partitions.corner_parity_check``). Both even-hook counts are
-    made cell by cell; H_e(lambda-) is the count the sweep made when its
-    walk met lambda-, which comes before lambda and has the same first part
-    or one less, so the sweep holds the counts of two first parts at a
-    time. A failure records the partition's index from n = 1 and the corner
-    (i, j); a lambda- that the walk never yielded fails at its first
-    lambda. The check is one part of the shared combinatorial sweep.
+    2 (see ``partitions.corner_parity_check``).
+
+    Why it holds: removing the corner v shortens by one the arm of each of
+    the lambda_i - 1 cells to its left and the leg of each of the
+    lambda'_j - 1 cells above it, so each of those hooks drops by one and
+    flips parity. No other cell's hook changes, and v's own hook is 1, which
+    is odd. Each flip moves H_e up or down by one, so
+    H_e(lambda) - H_e(lambda-) = (lambda_i - 1) + (lambda'_j - 1)
+    = lambda_i + lambda'_j mod 2.
+
+    Both even-hook counts are made cell by cell; H_e(lambda-) is the count
+    the sweep made when its walk met lambda-, which comes before lambda and
+    has the same first part or one less, so the sweep holds the counts of
+    two first parts at a time. A failure records the partition's index from
+    n = 1 and the corner (i, j); a lambda- that the walk never yielded fails
+    at its first lambda. The check is one part of the shared combinatorial
+    sweep.
     """
     return _combinatorial_sweep(0, n_max)[1]
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -284,16 +285,15 @@ class TestPartitionCommand:
         assert len(out.sizes) <= 64
         assert max(out.sizes) <= len(text) // 4
 
-    @pytest.mark.parametrize("output_format", ["text", "json"])
-    @pytest.mark.parametrize("kind_filter", ["all", "t", "u"])
-    def test_listing_matches_a_reference_built_cell_by_cell(self, capsys, kind_filter, output_format):
+    @staticmethod
+    def _check_against_reference(out, output_format, n, kind_filter, show_hooks):
         # the type must come from the odd parts and He from the hooks; the
         # reference reads each from its own definition
         def reference_hooks(lam):
             return [[row - j + sum(1 for p in lam if p >= j) - i + 1 for j in range(1, row + 1)]
                     for i, row in enumerate(lam, 1)]
 
-        def parse_text(out, show_hooks):
+        def parse_text(out):
             entries, lines = [], out.splitlines()
             while lines:
                 head, fields = lines.pop(0).split("  ")
@@ -304,26 +304,59 @@ class TestPartitionCommand:
                 entries.append(entry)
             return entries
 
+        entries = json.loads(out) if output_format == "json" else parse_text(out)
+        expected = [lam for lam in partitions_of(n)
+                    if kind_filter in ("all", "t" if classify(lam).is_t_type else "u")]
+        assert [tuple(e["parts"]) for e in entries] == expected
+        for entry, lam in zip(entries, expected):
+            s = classify(lam)
+            hooks = reference_hooks(lam)
+            if output_format == "json":
+                got = (entry["odd_parts"], entry["odd_parts_conjugate"], entry["even_hooks"])
+            else:
+                got = (int(entry["O"]), int(entry["O'"]), int(entry["He"]))
+            assert got == (s.odd_parts, s.odd_parts_conjugate, s.even_hooks), lam
+            assert got[2] == sum(1 for row in hooks for h in row if h % 2 == 0), lam
+            assert entry["type"] == ("t" if s.is_t_type else "u"), lam
+            assert entry.get("hooks") == (hooks if show_hooks else None), lam
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    @pytest.mark.parametrize("kind_filter", ["all", "t", "u"])
+    def test_listing_matches_a_reference_built_cell_by_cell(self, capsys, kind_filter, output_format):
         for n in range(15):
             for show_hooks in (False, True):
                 argv = ["partition", "--n", str(n), "--filter", kind_filter, "--format", output_format]
                 code, out, _ = run(capsys, *argv, *(["--show-hooks"] if show_hooks else []))
                 assert code == 0
-                entries = json.loads(out) if output_format == "json" else parse_text(out, show_hooks)
-                expected = [lam for lam in partitions_of(n)
-                            if kind_filter in ("all", "t" if classify(lam).is_t_type else "u")]
-                assert [tuple(e["parts"]) for e in entries] == expected
-                for entry, lam in zip(entries, expected):
-                    s = classify(lam)
-                    hooks = reference_hooks(lam)
-                    if output_format == "json":
-                        got = (entry["odd_parts"], entry["odd_parts_conjugate"], entry["even_hooks"])
-                    else:
-                        got = (int(entry["O"]), int(entry["O'"]), int(entry["He"]))
-                    assert got == (s.odd_parts, s.odd_parts_conjugate, s.even_hooks), lam
-                    assert got[2] == sum(1 for row in hooks for h in row if h % 2 == 0), lam
-                    assert entry["type"] == ("t" if s.is_t_type else "u"), lam
-                    assert entry.get("hooks") == (hooks if show_hooks else None), lam
+                self._check_against_reference(out, output_format, n, kind_filter, show_hooks)
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_listing_at_the_cap_matches_a_reference_built_cell_by_cell(self, capsys, output_format):
+        # at n = 30 hook rows are shared by many partitions and dropped
+        # part way through, which the small sizes above never reach
+        n = cli.PARTITION_LISTING_CAP
+        code, out, _ = run(capsys, "partition", "--n", str(n), "--show-hooks", "--format", output_format)
+        assert code == 0
+        self._check_against_reference(out, output_format, n, "all", True)
+
+    @pytest.mark.parametrize("output_format, limit_mb", [("text", 1.5), ("json", 13.4)])
+    def test_listing_at_the_cap_stays_small_in_memory(self, output_format, limit_mb):
+        # a text listing is streamed, so its peak must not grow with the
+        # listing; a JSON one is held whole, with hook rows shared by the
+        # partitions that hold them (13.4 MB when each entry built its own)
+        class Discard:
+            def write(self, s):
+                return len(s)
+
+        args = cli._build_parser().parse_args(
+            ["partition", "--n", "30", "--show-hooks", "--format", output_format])
+        tracemalloc.start()
+        try:
+            assert cli.cmd_partition(args, Discard()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 class TestExport:

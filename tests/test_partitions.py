@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
-    _hook_rows,
     _prefix_walk,
     _statistics,
     classify,
@@ -132,8 +131,10 @@ class TestOddParts:
 
 
 def _hook_grid(lam):
-    """Every hook length, one list per row, as the listing computes them."""
-    return [list(row) for row in _hook_rows(lam, conjugate(lam))]
+    """Every hook length, one list per row: hook (i, j) = (lam_i - i + 1) +
+    (lam'_j - j), with the column terms made once."""
+    col_terms = [col - j for j, col in enumerate(conjugate(lam), 1)]
+    return [[row - i + 1 + term for term in col_terms[:row]] for i, row in enumerate(lam, 1)]
 
 
 def _even_cells(lam):
