@@ -30,7 +30,6 @@ import sys
 from itertools import chain, islice
 
 from . import __version__, stanley, verify
-from .partitions import partitions_of
 from .series_core import MAX_DILATION_ORDER
 
 EXIT_OK = 0
