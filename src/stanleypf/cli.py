@@ -8,13 +8,14 @@ Output formats, checked before any series, suite or cache work:
     partition  text, json
     export     text, json, csv, bfile  (text is the b-file)
 
-A partition listing renders each hook row once per suffix of a partition,
-not once per partition, and both formats render the one stream of entries
-from _partition_entries. A text listing is streamed: it is written in
-blocks of LISTING_BLOCK_ENTRIES partitions while they are enumerated, so it
-is never held whole and costs a few writes, not one per line. A JSON
-listing is one document and holds the whole list, its entries sharing the
-hook rows they have in common.
+A partition listing renders the stream of entries that
+partitions._partition_entries makes, each hook row once per suffix of a
+partition, not once per partition; cmd_partition only renders and writes
+it. A text listing is streamed: it is written in blocks of
+LISTING_BLOCK_ENTRIES partitions while they are enumerated, so it is never
+held whole and costs a few writes, not one per line. A JSON listing is one
+document and holds the whole list, its entries sharing the hook rows they
+have in common.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a failed
 check; an internal identity failing on computed values shows as failed
@@ -30,6 +31,7 @@ import sys
 from itertools import chain, islice
 
 from . import __version__, stanley, verify
+from .partitions import _partition_entries
 from .series_core import MAX_DILATION_ORDER
 
 EXIT_OK = 0
@@ -163,7 +165,7 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     oracle_columns = {}
     if oracle:
         enum = stanley.table_from_enumeration(max_n)
-        oracle_columns = {s: list(enum.column(s)) for s in stats}
+        oracle_columns = {s: list(getattr(enum, s)) for s in stats}
     mismatch = any(columns[s] != oracle_columns[s] for s in oracle_columns)
     # indexed by stats, not by the dicts, so a repeated statistic keeps its columns
     cells = [columns[s] for s in stats] + ([oracle_columns[s] for s in stats] if oracle else [])
@@ -225,66 +227,6 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         n_fail = sum(1 for r in reports if not r.passed)
         print(f"{len(reports)} checks: {len(reports) - n_fail} passed, {n_fail} failed", file=out)
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
-
-
-def _partition_entries(n: int, kind_filter: str, render):
-    """(lam, O, O', He, type, hook rows) for each partition of n the listing
-    keeps, in decreasing lex order. Each row is render(its hook lengths);
-    render None leaves the rows out.
-
-    Hook (i, j) = lam_i - j + #{k >= i : lam_k >= j} reads only the suffix
-    (lam_i, lam_i+1, ...), so the grid of lam = x.mu is one new row on top of
-    the grid of mu = lam[1:]. Each suffix's entry (parts, rows, He, O, O' and
-    its first row of hook lengths) is made once, from the entry of its own
-    tail: with m = mu_1, the first row of x.mu is that of mu plus x - m + 1,
-    then x - m, ..., 1, since lam'_j = mu'_j + 1 for j <= m and 1 beyond. He
-    gains the even hooks of the new row, O gains x & 1 and O' becomes
-    x - O(mu'), so the type comes from the parts and He from the hook
-    lengths, neither from the other, and nothing is conjugated.
-
-    A suffix mu recurs only inside a longer suffix y.mu with y >= mu_1,
-    which fits in n only when |mu| + 2 mu_1 <= n, so only those entries are
-    kept; and once the first part falls below mu_1, mu cannot recur, so the
-    entries under each first part are dropped as the listing passes it.
-    """
-    odd_bit = (1).__and__
-
-    def extend(x, entry):
-        parts, rows, even_hooks, odd, odd_conj, row = entry
-        m = len(row)
-        row = [*map((x - m + 1).__add__, row), *range(x - m, 0, -1)]
-        even_hooks += x - sum(map(odd_bit, row))
-        if render is not None:
-            rows = [render(row), *rows]
-        return (x, *parts), rows, even_hooks, odd + (x & 1), x - odd_conj, row
-
-    empty = [((), (), 0, 0, 0, ())]
-    kept = [{} for _ in range(n + 1)]  # y -> {m: entries of the partitions of m led by y}
-
-    def tails(m, cap):
-        # entries of the partitions of m with parts <= cap, in decreasing lex order
-        if m == 0:
-            return empty
-        return chain.from_iterable(led_by(m, y) for y in range(min(m, cap), 0, -1))
-
-    def led_by(m, y):
-        entries = kept[y].get(m)
-        if entries is None:
-            entries = [extend(y, entry) for entry in tails(m - y, y)]
-            if m + 2 * y <= n:  # |mu| + 2 mu_1 <= n
-                kept[y][m] = entries
-        return entries
-
-    def listing():
-        for x in range(n, 0, -1):
-            del kept[x + 1 :]  # no later partition holds a suffix led by more than x
-            for entry in tails(n - x, x):
-                yield extend(x, entry)
-
-    for lam, rows, even_hooks, odd, odd_conj, _ in listing() if n else empty:
-        kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
-        if kind_filter == "all" or kind == kind_filter:
-            yield lam, odd, odd_conj, even_hooks, kind, rows
 
 
 def cmd_partition(args: argparse.Namespace, out) -> int:

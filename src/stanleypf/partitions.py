@@ -5,7 +5,9 @@ n, held as a plain tuple of ints; the empty partition () is the unique
 partition of 0. Everything downstream rests on two statistics of a
 partition and its conjugate: the odd-part counts O(lambda) and
 O(lambda'), and the number of cells of the Young diagram whose hook
-length is even.
+length is even. The partition listing's entries (those statistics and the
+hook rows) come from _partition_entries, which builds each partition from
+its suffixes without conjugating.
 
 Row and column indices are 1-based throughout, matching the usual (i, j)
 cell convention for Young diagrams.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import chain
 
 
 class PartitionStats(namedtuple("PartitionStats", "odd_parts odd_parts_conjugate even_hooks is_t_type")):
@@ -97,6 +100,66 @@ def _prefix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, 
             push((n + x, lam + (x,), (rows,) * x + conj[x:], odd + (x & 1), odd_conj + step * x))
 
 
+def _partition_entries(n: int, kind_filter: str, render):
+    """(lam, O, O', He, type, hook rows) for each partition of n the listing
+    keeps, in decreasing lex order. Each row is render(its hook lengths);
+    render None leaves the rows out.
+
+    Hook (i, j) = lam_i - j + #{k >= i : lam_k >= j} reads only the suffix
+    (lam_i, lam_i+1, ...), so the grid of lam = x.mu is one new row on top of
+    the grid of mu = lam[1:]. Each suffix's entry (parts, rows, He, O, O' and
+    its first row of hook lengths) is made once, from the entry of its own
+    tail: with m = mu_1, the first row of x.mu is that of mu plus x - m + 1,
+    then x - m, ..., 1, since lam'_j = mu'_j + 1 for j <= m and 1 beyond. He
+    gains the even hooks of the new row, O gains x & 1 and O' becomes
+    x - O(mu'), so the type comes from the parts and He from the hook
+    lengths, neither from the other, and nothing is conjugated.
+
+    A suffix mu recurs only inside a longer suffix y.mu with y >= mu_1,
+    which fits in n only when |mu| + 2 mu_1 <= n, so only those entries are
+    kept; and once the first part falls below mu_1, mu cannot recur, so the
+    entries under each first part are dropped as the listing passes it.
+    """
+    odd_bit = (1).__and__
+
+    def extend(x, entry):
+        parts, rows, even_hooks, odd, odd_conj, row = entry
+        m = len(row)
+        row = [*map((x - m + 1).__add__, row), *range(x - m, 0, -1)]
+        even_hooks += x - sum(map(odd_bit, row))
+        if render is not None:
+            rows = [render(row), *rows]
+        return (x, *parts), rows, even_hooks, odd + (x & 1), x - odd_conj, row
+
+    empty = [((), (), 0, 0, 0, ())]
+    kept = [{} for _ in range(n + 1)]  # y -> {m: entries of the partitions of m led by y}
+
+    def tails(m, cap):
+        # entries of the partitions of m with parts <= cap, in decreasing lex order
+        if m == 0:
+            return empty
+        return chain.from_iterable(led_by(m, y) for y in range(min(m, cap), 0, -1))
+
+    def led_by(m, y):
+        entries = kept[y].get(m)
+        if entries is None:
+            entries = [extend(y, entry) for entry in tails(m - y, y)]
+            if m + 2 * y <= n:  # |mu| + 2 mu_1 <= n
+                kept[y][m] = entries
+        return entries
+
+    def listing():
+        for x in range(n, 0, -1):
+            del kept[x + 1 :]  # no later partition holds a suffix led by more than x
+            for entry in tails(n - x, x):
+                yield extend(x, entry)
+
+    for lam, rows, even_hooks, odd, odd_conj, _ in listing() if n else empty:
+        kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
+        if kind_filter == "all" or kind == kind_filter:
+            yield lam, odd, odd_conj, even_hooks, kind, rows
+
+
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:
     """The conjugate partition: column lengths of the Young diagram."""
     if not lam:
@@ -144,20 +207,11 @@ def _even_hooks(lam: Sequence[int], conj: Sequence[int]) -> int:
     return count
 
 
-def _statistics(lam: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
-    """(lam', O(lam), O(lam'), H_e(lam)) from one conjugation.
-
-    The odd-part counts and the even-hook count share only lam and its
-    conjugate.
-    """
-    conj = conjugate(lam)
-    return conj, odd_parts_count(lam), odd_parts_count(conj), _even_hooks(lam, conj)
-
-
 def classify(lam: Sequence[int]) -> PartitionStats:
     """Full statistics record for one partition."""
-    _conj, odd, odd_conj, even_hooks = _statistics(lam)
-    return PartitionStats(odd, odd_conj, even_hooks, (odd - odd_conj) % 4 == 0)
+    conj = conjugate(lam)
+    odd, odd_conj = odd_parts_count(lam), odd_parts_count(conj)
+    return PartitionStats(odd, odd_conj, _even_hooks(lam, conj), (odd - odd_conj) % 4 == 0)
 
 
 def inner_corners(lam: Sequence[int]) -> list[tuple[int, int]]:
@@ -185,7 +239,7 @@ def corner_parity_check(lam: Sequence[int], v: tuple[int, int]) -> bool:
     removed[i - 1] -= 1
     if removed[i - 1] == 0:
         removed.pop()
-    same_hook_parity = (_statistics(lam)[3] - _statistics(removed)[3]) % 2 == 0
+    same_hook_parity = (_even_hooks(lam, conjugate(lam)) - _even_hooks(removed, conjugate(removed))) % 2 == 0
     col = sum(1 for p in lam if p >= j)
     same_cell_parity = (lam[i - 1] - col) % 2 == 0
     return same_hook_parity == same_cell_parity

@@ -8,8 +8,7 @@ is the signed count. Each function is computed by two independent routes:
   a dynamic programme over part sizes that counts p(n) and t(n) for all
   n <= N in O(N^2 log N) additions (``table_from_dp``, the oracle of
   ``verify``), or brute force, streaming every partition of n
-  (``table_from_enumeration``, ``t_bruteforce``; the tier-1 reference and
-  ``table --oracle``);
+  (``table_from_enumeration``, the tier-1 reference and ``table --oracle``);
 * generating functions, as exact product expansions:
 
     sum f(n) q^n  =  (-q; q^2) / ( (q^4; q^4) (-q^2; q^4)^2 )
@@ -162,13 +161,6 @@ def _enumeration_counts(n: int) -> tuple[int, int]:
     return p, t
 
 
-def t_bruteforce(n: int) -> int:
-    """t(n) by exhaustive enumeration and classification."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _enumeration_counts(n)[1]
-
-
 class StanleyTable(namedtuple("StanleyTable", "max_n p t u f")):
     """Columns p, t, u, f for 0..max_n from one combinatorial counter.
 
@@ -179,11 +171,6 @@ class StanleyTable(namedtuple("StanleyTable", "max_n p t u f")):
 
     __slots__ = ()
 
-    def column(self, stat: str) -> tuple[int, ...]:
-        if stat not in ("p", "t", "u", "f"):
-            raise ValueError(f"unknown statistic {stat!r}")
-        return getattr(self, stat)
-
 
 def _table_from_counts(max_n: int, p: list[int], t: list[int]) -> StanleyTable:
     u = [pn - tn for pn, tn in zip(p, t)]
@@ -193,6 +180,8 @@ def _table_from_counts(max_n: int, p: list[int], t: list[int]) -> StanleyTable:
 
 def table_from_enumeration(max_n: int) -> StanleyTable:
     """Build the table by streaming all partitions of every n <= max_n."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     p, t = [], []
     for n in range(max_n + 1):
         pn, tn = _enumeration_counts(n)

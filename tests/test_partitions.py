@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
+    _even_hooks,
+    _partition_entries,
     _prefix_walk,
-    _statistics,
     classify,
     conjugate,
     corner_parity_check,
@@ -88,6 +89,19 @@ class TestPrefixWalk:
             next(_prefix_walk(-1))
 
 
+class TestPartitionEntries:
+    def test_statistics_match_prefix_walk(self):
+        # two derivations of He and O': the listing's, from each suffix's
+        # hook row and parts, and the walk's, from conjugates and _even_hooks
+        walked = {}
+        for n, lam, conj, odd, odd_conj in _prefix_walk(20):
+            kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
+            walked.setdefault(n, []).append((lam, odd, odd_conj, _even_hooks(lam, conj), kind))
+        for n in range(21):
+            listed = [entry[:5] for entry in _partition_entries(n, "all", None)]
+            assert listed == walked[n][::-1], n
+
+
 class TestConjugate:
     def test_examples(self):
         assert conjugate((3, 1)) == (2, 1, 1)
@@ -160,19 +174,19 @@ class TestHooks:
             hook_length((2, 1), 3, 1)
 
     def test_even_hook_count_examples(self):
-        assert _statistics((2, 1))[3] == 0  # hooks 3, 1, 1
-        assert _statistics((2, 2))[3] == 2  # hooks 3, 2, 2, 1
-        assert _statistics(())[3] == 0
+        assert classify((2, 1)).even_hooks == 0  # hooks 3, 1, 1
+        assert classify((2, 2)).even_hooks == 2  # hooks 3, 2, 2, 1
+        assert classify(()).even_hooks == 0
 
     @given(random_partitions)
     @settings(max_examples=100)
     def test_even_hooks_counts_cells(self, lam):
-        assert _statistics(lam)[3] == _even_cells(lam)
+        assert classify(lam).even_hooks == _even_cells(lam)
 
     def test_even_hooks_counts_cells_exhaustive(self):
         for n in range(17):
             for lam in partitions_of(n):
-                assert _statistics(lam)[3] == _even_cells(lam), lam
+                assert classify(lam).even_hooks == _even_cells(lam), lam
 
     def test_hook_grid_examples(self):
         assert _hook_grid((3, 2)) == [[4, 3, 1], [2, 1]]
