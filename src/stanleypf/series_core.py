@@ -170,12 +170,16 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product, truncated to the shorter order.
 
-    Each nonzero coefficient x of a at q^i adds x times b into the result
-    from q^i on, as one slice map: O(n^2) coefficient products to order n,
-    with the per-coefficient loop run in C.
+    The product commutes, so the loop runs over whichever operand has more
+    zero coefficients up to that order; the result is the same either way.
+    Each nonzero coefficient x of that operand at q^i adds x times the other
+    into the result from q^i on, as one slice map: O(n^2) coefficient
+    products to order n, with the per-coefficient loop run in C.
     """
     n = min(a.order, b.order)
-    ca, cb = a.coeffs, b.coeffs
+    ca, cb = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    if cb.count(0) > ca.count(0):
+        ca, cb = cb, ca
     out = [0] * (n + 1)
     for i in range(n + 1):
         x = ca[i]
@@ -195,20 +199,22 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse r with a * r = 1 up to a.order.
 
     Requires constant term +1 or -1, the only units with integer-coefficient
-    reciprocals. Solved by the direct convolution recurrence, which is exact.
+    reciprocals. Solved by the direct convolution recurrence, which is exact;
+    its inner loop runs over the nonzero coefficients of a only.
     """
     a0 = a.coeffs[0]
     if a0 not in (1, -1):
         raise ValueError(f"series with constant term {a0} is not invertible over the integers")
     n = a.order
-    ca = a.coeffs
+    terms = [(j, x) for j, x in enumerate(a.coeffs) if j and x]
     r = [0] * (n + 1)
     r[0] = a0
     for k in range(1, n + 1):
         acc = 0
-        for j in range(1, k + 1):
-            if ca[j]:
-                acc += ca[j] * r[k - j]
+        for j, x in terms:
+            if j > k:
+                break
+            acc += x * r[k - j]
         r[k] = -a0 * acc
     return TruncatedSeries(tuple(r))
 
