@@ -7,7 +7,9 @@ partition and its conjugate: the odd-part counts O(lambda) and
 O(lambda'), and the number of cells of the Young diagram whose hook
 length is even. The partition listing's entries (those statistics and the
 hook rows) come from _partition_entries, which builds each partition from
-its suffixes without conjugating.
+its suffixes without conjugating. The combinatorial sweep's _suffix_walk
+builds each partition from its tail the same way, carrying the conjugate,
+both odd-part counts and the even-hook count over from that tail.
 
 Row and column indices are 1-based throughout, matching the usual (i, j)
 cell convention for Young diagrams.
@@ -72,32 +74,49 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(parts)
 
 
-def _prefix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int]]:
-    """Yield (n, lam, lam', O(lam), O(lam')) for every partition of n <= n_max.
+def _suffix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int, int, int]]:
+    """Yield (n, lam, lam', O(lam), O(lam'), He(lam), a) for every partition
+    of n <= n_max, where a = #{j <= lam_1 : lam'_j - j odd}.
 
-    A depth-first walk of the prefix tree: the root is (), and the children
-    of lam append one part x <= its last part, smallest x first. So the
-    partitions of each n come in increasing lex order, interleaved across n,
-    and each one's prefixes come before it. Appending x to lam, of length l,
-    turns columns 1..x from height l into l + 1, so lam' becomes
-    (l + 1,) * x + lam'[x:], O gains x & 1, and O' moves by x, up when l is
-    even and down when it is odd.
+    A depth-first walk of the suffix tree: the root is (), and the children
+    of mu, with m = mu_1 (0 for the root), prepend one part x >= m. So each
+    partition comes after its tail lam[1:], and the partitions of one n do
+    not come in lex order. Prepending x raises columns 1..m by one and adds
+    x - m columns of height 1, so lam' = (mu'_j + 1 for j <= m) + (1,) * (x - m),
+    O gains x & 1 and O' becomes x - O(mu').
+
+    Hook (i, j) = lam_i - j + lam'_j - i + 1 reads only the suffix
+    (lam_i, lam_i+1, ...), so only the new first row's hooks are new. Hook
+    (1, j) is x - m, ..., 1 for j > m, floor((x - m) / 2) of them even; for
+    j <= m it is x + 1 + mu'_j - j, even at the a(mu) columns with mu'_j - j
+    odd when x is even and at the other m - a(mu) when x is odd. The parity
+    of lam'_j - j flips for j <= m and is odd at the even j in (m, x], so
+    a(lam) = m - a(mu) + floor(x / 2) - floor(m / 2). He and a come from the
+    part sizes through the hook formula, never from O or O', and O and O'
+    never read He or a.
     """
     if n_max < 0:
         raise ValueError(f"cannot partition a negative integer {n_max}")
-    stack = [(0, (), (), 0, 0)]
+    node = (0, (), (), 0, 0, 0, 0)
+    yield node
+    stack = [node]
     push, pop = stack.append, stack.pop
+    one_more = (1).__add__
     while stack:
-        node = pop()
-        yield node
-        n, lam, conj, odd, odd_conj = node
-        rows = len(lam) + 1
-        step = 1 if rows & 1 else -1
-        room = n_max - n
-        cap = lam[-1] if lam and lam[-1] < room else room
-        # pushed largest first, so the smallest x is popped first
-        for x in range(cap, 0, -1):
-            push((n + x, lam + (x,), (rows,) * x + conj[x:], odd + (x & 1), odd_conj + step * x))
+        # only nodes with children are pushed: x.mu has some when |mu| + 2x <= n_max
+        n, mu, conj, odd, odd_conj, even_hooks, a = pop()
+        m = mu[0] if mu else 0
+        raised = tuple(map(one_more, conj))
+        row_if_even, row_if_odd = even_hooks + a, even_hooks + m - a
+        a_base = m - a - m // 2
+        for x in range(m or 1, n_max - n + 1):
+            node = (
+                n + x, (x,) + mu, raised + (1,) * (x - m), odd + (x & 1), x - odd_conj,
+                (row_if_odd if x & 1 else row_if_even) + (x - m) // 2, a_base + x // 2,
+            )
+            yield node
+            if n + 2 * x <= n_max:
+                push(node)
 
 
 def _partition_entries(n: int, kind_filter: str, render):

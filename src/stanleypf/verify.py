@@ -10,13 +10,12 @@ The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
 combinatorial suite ties that DP to exhaustive enumeration: its even-hook
 counts over every partition of n <= ``enum_bound`` must equal the DP's t(n).
-The suite makes one shared depth-first walk of the partition prefix tree
-(``partitions._prefix_walk``), which carries each partition's conjugate and
-both odd-part counts down from its parent. The even-hook count is still
-made cell by cell from the partition and its conjugate, once per
-partition, and all four combinatorial checks read these values; the
-odd-part side and the hook side share only the partition and its
-conjugate.
+The suite makes one shared depth-first walk of the partition suffix tree
+(``partitions._suffix_walk``), which builds each partition by putting one
+part on top of its tail and carries the conjugate, both odd-part counts and
+the even-hook count over from that tail in O(1) steps per count. All four
+combinatorial checks read these values; the odd-part side and the hook
+side share only the partition and its conjugate.
 
 ``run_suite("all")`` runs the combinatorial suite in a child made with
 ``os.fork`` while the parent runs the proof steps, the series suite and the
@@ -39,7 +38,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import partitions, stanley
-from .partitions import inner_corners, odd_parts_count
+from .partitions import inner_corners
 from .series_core import (
     MAX_DILATION_ORDER,
     ProductSpec,
@@ -361,89 +360,83 @@ def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
     return VerificationReport(name, bound, False, *failure)
 
 
-def _earlier(first: tuple | None, n: int, k: int, witnesses: tuple) -> tuple:
+def _earlier(first: tuple | None, n: int, lam: tuple[int, ...], witnesses: tuple) -> tuple:
     # Failures are ranked as the reports index them: by n, then in
-    # decreasing lex order, which puts the walk's later partitions of n first.
-    if first is None or (n, -k) < first[0]:
-        return (n, -k), witnesses
+    # decreasing lex order within n.
+    if first is None or n < first[0] or (n == first[0] and lam > first[1]):
+        return n, lam, witnesses
     return first
 
 
 def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[VerificationReport]:
     """One walk over every partition of n <= max(enum_bound, corner_bound).
 
-    ``partitions._prefix_walk`` yields each partition once, with its
-    conjugate and both odd-part counts carried down the prefix tree; the
-    even-hook count is made cell by cell from the partition and its
-    conjugate (``partitions._even_hooks``). They feed hook parity, the hook
-    counts and conjugation pairing for n <= enum_bound, and the corner
-    lemma for 1 <= n <= corner_bound. The walk meets each n's partitions
-    in increasing lex order; a failure is indexed in decreasing lex order
-    within each n, from the walk's own count of each n. Each check keeps
-    the index and witnesses of its own first failure, so every report is
-    what that check would give in a sweep of its own.
+    ``partitions._suffix_walk`` yields each partition once, built from its
+    tail lam[1:], with its conjugate, both odd-part counts and its even-hook
+    count carried over from that tail: the hook side from the hook formula
+    alone, the odd side from the parts alone. They feed hook parity, the
+    hook counts and conjugation pairing for n <= enum_bound, and the corner
+    lemma for 1 <= n <= corner_bound. The walk does not meet each n's
+    partitions in lex order, so each check keeps the failing partition with
+    the smallest n and, within that n, the largest parts; only then is its
+    index counted, in decreasing lex order within each n from the empty
+    partition, over a second walk up to that n. So every report is what
+    that check would give in a sweep of its own. lambda- can come after
+    lambda in the walk, so the even-hook counts of every partition of
+    n < corner_bound are kept and the corners are checked after the walk.
 
     Returns six reports in suite order: hook parity, the corner lemma, the
     three hook-counting identities, conjugation pairing.
     """
-    top = max(enum_bound, corner_bound)
-    seen = [0] * (top + 1)  # per n: partitions the walk has yielded so far
     even_counts = [0] * (enum_bound + 1)  # per n <= enum_bound: partitions with evenly many even hooks
     odd_counts = [0] * (enum_bound + 1)  # ... and with oddly many
-    # each check's first failure so far, as ((n, -k), witnesses), where k
-    # counts the partitions of n the walk yielded before this one
+    # each check's first failure so far, as (n, lam, witnesses)
     parity_failure = corner_failure = pairing_failure = None
-    # H_e by partition, for the corner lemma's lambda-minus, over the
-    # subtrees of the current first part and the one before it
-    hooks: dict[tuple[int, ...], int] = {}
-    previous_hooks: dict[tuple[int, ...], int] = {}
-    first_part = 0
-    for n, lam, conj, odd_parts, odd_parts_conj in partitions._prefix_walk(top):
-        k = seen[n]
-        seen[n] = k + 1
-        even_hooks = partitions._even_hooks(lam, conj)
+    hooks: dict[tuple[int, ...], int] = {}  # H_e by partition of n < corner_bound, for lambda-minus
+    cornered = []  # (n, lam, lam', H_e) for 1 <= n <= corner_bound
+    for n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _ in partitions._suffix_walk(
+        max(enum_bound, corner_bound)
+    ):
         if n <= enum_bound:
             type_mod_4 = (odd_parts - odd_parts_conj) % 4
             if (type_mod_4 == 0) != (even_hooks % 2 == 0):
-                parity_failure = _earlier(parity_failure, n, k, (type_mod_4, even_hooks))
+                parity_failure = _earlier(parity_failure, n, lam, (type_mod_4, even_hooks))
             if even_hooks % 2 == 0:
                 even_counts[n] += 1
             else:
                 odd_counts[n] += 1
             # a u-type lambda needs a distinct u-type conjugate; the
-            # partner's type is read from its own conjugate, lambda''
+            # partner's type needs O(lambda''), the number of odd columns
+            # of lambda', which is lambda'_1 - lambda'_2 + lambda'_3 - ...
             if type_mod_4 and (
-                conj == lam or (odd_parts_conj - odd_parts_count(partitions.conjugate(conj))) % 4 == 0
+                conj == lam or (odd_parts_conj - sum(conj[::2]) + sum(conj[1::2])) % 4 == 0
             ):
-                pairing_failure = _earlier(pairing_failure, n, k, (n, None))
-        if 1 <= n <= corner_bound:
-            if lam[0] != first_part:
-                first_part = lam[0]
-                previous_hooks, hooks = hooks, {}
-            for i, j in inner_corners(lam):
-                # a corner in column 1 is the whole last row; removing a
-                # corner from row 1 leaves the previous first part
-                removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
-                removed_hooks = (previous_hooks if i == 1 else hooks).get(removed)
-                # a lambda-minus the walk never yielded fails the corner
-                if removed_hooks is None or (
-                    ((even_hooks - removed_hooks) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0)
-                ):
-                    corner_failure = _earlier(corner_failure, n, k, (i, j))
-                    break
-        if n < corner_bound:
-            hooks[lam] = even_hooks
-    # global indices count from the empty partition, in decreasing lex
-    # order within each n, from the walk's own counts
-    offsets = [0]
-    for count in seen:
-        offsets.append(offsets[-1] + count)
+                pairing_failure = _earlier(pairing_failure, n, lam, (n, None))
+        if n <= corner_bound:
+            if n < corner_bound:
+                hooks[lam] = even_hooks
+            if n:
+                cornered.append((n, lam, conj, even_hooks))
+    for n, lam, conj, even_hooks in cornered:
+        for i, j in inner_corners(lam):
+            # a corner in column 1 is the whole last row
+            removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
+            removed_hooks = hooks.get(removed)
+            # a lambda-minus the walk never yielded fails the corner
+            if removed_hooks is None or (
+                ((even_hooks - removed_hooks) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0)
+            ):
+                corner_failure = _earlier(corner_failure, n, lam, (i, j))
+                break
 
     def indexed(first: tuple | None, shift: int = 0) -> tuple | None:
+        # the partitions the walk yields before lam in the reports' order:
+        # every one of a smaller n, and those of n with larger parts
         if first is None:
             return None
-        (n, minus_k), witnesses = first
-        return (offsets[n + 1] - 1 + minus_k - shift, *witnesses)
+        n, lam, witnesses = first
+        before = sum(1 for node in partitions._suffix_walk(n) if node[0] < n or node[1] > lam)
+        return (before - shift, *witnesses)
 
     return [
         _report("comb/hook-parity-equivalence", enum_bound, indexed(parity_failure)),
@@ -496,10 +489,11 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
     H_e(lambda) - H_e(lambda-) = (lambda_i - 1) + (lambda'_j - 1)
     = lambda_i + lambda'_j mod 2.
 
-    Both even-hook counts are made cell by cell; H_e(lambda-) is the count
-    the sweep made when its walk met lambda-, which comes before lambda and
-    has the same first part or one less, so the sweep holds the counts of
-    two first parts at a time. A failure records the partition's index from
+    Both even-hook counts are the ones the suffix walk carried over from
+    each partition's tail, never made from each other. The walk can meet
+    lambda- after lambda, so the sweep keeps H_e for every partition of
+    n < n_max and checks the corners after the walk; H_e(lambda-) is the
+    count kept for lambda-. A failure records the partition's index from
     n = 1 and the corner (i, j); a lambda- that the walk never yielded fails
     at its first lambda. The check is one part of the shared combinatorial
     sweep.

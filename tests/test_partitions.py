@@ -6,7 +6,7 @@ from conftest import pentagonal_partition_numbers
 from stanleypf.partitions import (
     _even_hooks,
     _partition_entries,
-    _prefix_walk,
+    _suffix_walk,
     classify,
     conjugate,
     corner_parity_check,
@@ -52,54 +52,57 @@ class TestEnumeration:
             next(partitions_of(-1))
 
 
-class TestPrefixWalk:
-    def test_small_walk_in_order(self):
-        assert list(_prefix_walk(3)) == [
-            (0, (), (), 0, 0),
-            (1, (1,), (1,), 1, 1),
-            (2, (1, 1), (2,), 2, 0),
-            (3, (1, 1, 1), (3,), 3, 1),
-            (2, (2,), (1, 1), 0, 2),
-            (3, (2, 1), (2, 1), 1, 1),
-            (3, (3,), (1, 1, 1), 1, 3),
+class TestSuffixWalk:
+    def test_small_walk(self):
+        assert list(_suffix_walk(3)) == [
+            (0, (), (), 0, 0, 0, 0),
+            (1, (1,), (1,), 1, 1, 0, 0),
+            (2, (2,), (1, 1), 0, 2, 1, 1),
+            (3, (3,), (1, 1, 1), 1, 3, 1, 1),
+            (2, (1, 1), (2,), 2, 0, 1, 1),
+            (3, (2, 1), (2, 1), 1, 1, 0, 2),
+            (3, (1, 1, 1), (3,), 3, 1, 1, 0),
         ]
 
     def test_each_partition_once_with_its_statistics(self):
         by_weight = {}
-        for n, lam, conj, odd, odd_conj in _prefix_walk(20):
+        for n, lam, conj, odd, odd_conj, even_hooks, a in _suffix_walk(20):
             assert sum(lam) == n
             assert conj == conjugate(lam)
             assert odd == odd_parts_count(lam)
             assert odd_conj == odd_parts_count(conjugate(lam))
+            # the carried hook count against the cell-by-cell one
+            assert even_hooks == _even_hooks(lam, conjugate(lam))
+            assert a == sum(1 for j, col in enumerate(conj, 1) if (col - j) % 2)
             by_weight.setdefault(n, []).append(lam)
         assert sorted(by_weight) == list(range(21))
         for n, seen in by_weight.items():
-            # increasing lex order: partitions_of's order, reversed
-            assert seen == list(partitions_of(n))[::-1]
+            assert sorted(seen, reverse=True) == list(partitions_of(n))
 
-    def test_prefixes_come_first(self):
+    def test_tails_come_first(self):
         seen = set()
-        for _n, lam, *_ in _prefix_walk(12):
-            assert lam[:-1] in seen or not lam
+        for _n, lam, *_ in _suffix_walk(12):
+            assert lam[1:] in seen or not lam
             seen.add(lam)
 
     def test_bounds(self):
-        assert list(_prefix_walk(0)) == [(0, (), (), 0, 0)]
+        assert list(_suffix_walk(0)) == [(0, (), (), 0, 0, 0, 0)]
         with pytest.raises(ValueError):
-            next(_prefix_walk(-1))
+            next(_suffix_walk(-1))
 
 
 class TestPartitionEntries:
-    def test_statistics_match_prefix_walk(self):
+    def test_statistics_match_suffix_walk(self):
         # two derivations of He and O': the listing's, from each suffix's
-        # hook row and parts, and the walk's, from conjugates and _even_hooks
+        # hook row and parts, and the walk's, from the column parities a and
+        # the tail's O'
         walked = {}
-        for n, lam, conj, odd, odd_conj in _prefix_walk(20):
+        for n, lam, _conj, odd, odd_conj, even_hooks, _a in _suffix_walk(20):
             kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
-            walked.setdefault(n, []).append((lam, odd, odd_conj, _even_hooks(lam, conj), kind))
+            walked.setdefault(n, []).append((lam, odd, odd_conj, even_hooks, kind))
         for n in range(21):
             listed = [entry[:5] for entry in _partition_entries(n, "all", None)]
-            assert listed == walked[n][::-1], n
+            assert listed == sorted(walked[n], reverse=True), n
 
 
 class TestConjugate:

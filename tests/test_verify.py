@@ -404,14 +404,14 @@ class TestSuites:
 
     def test_combinatorial_suite_enumerates_each_partition_once(self, monkeypatch):
         visits = Counter()
-        walk = partitions._prefix_walk
+        walk = partitions._suffix_walk
 
         def counted(n_max):
             for node in walk(n_max):
                 visits[node[1]] += 1
                 yield node
 
-        monkeypatch.setattr(partitions, "_prefix_walk", counted)
+        monkeypatch.setattr(partitions, "_suffix_walk", counted)
         assert all(r.passed for r in suite_combinatorial(25))
         assert len(visits) == 9296  # p(0) + ... + p(25)
         assert set(visits.values()) == {1}
@@ -563,6 +563,31 @@ def _report(name, bound, index=None, lhs=None, rhs=None):
     return VerificationReport(name, bound, index is None, index, lhs, rhs)
 
 
+def _replant_walk(monkeypatch, replant):
+    """Rebind partitions._suffix_walk so each node it yields goes through
+    replant(node), which returns the nodes to yield in its place. The walk
+    builds each child from its tail's own node, so a fault stays with the
+    partitions replant changes."""
+    walk = partitions._suffix_walk
+
+    def planted(n_max):
+        for node in walk(n_max):
+            yield from replant(node)
+
+    monkeypatch.setattr(partitions, "_suffix_walk", planted)
+
+
+def _plant_even_hooks(monkeypatch, planted):
+    """One extra even hook in each partition of planted: in the walk's
+    carried count, which the sweep reads, and in the cell-by-cell count,
+    which the per-partition helpers read."""
+    real = partitions._even_hooks
+    monkeypatch.setattr(partitions, "_even_hooks", lambda lam, conj: real(lam, conj) + (tuple(lam) in planted))
+    _replant_walk(monkeypatch, lambda node: [
+        (*node[:5], node[5] + 1, node[6]) if node[1] in planted else node
+    ])
+
+
 def _combinatorial_alone(n_max):
     """Each combinatorial check called on its own, to one bound."""
     return [
@@ -580,26 +605,17 @@ class TestCombinatorialFaultInjection:
 
     @pytest.fixture
     def miscounted_hooks(self, monkeypatch):
-        real = partitions._even_hooks
-
-        def planted(lam, conj):
-            # one extra even hook in the diagram of (3, 2), a t-type partition
-            # of 5 with hooks 4, 3, 1 / 2, 1
-            return real(lam, conj) + (tuple(lam) == (3, 2))
-
-        monkeypatch.setattr(partitions, "_even_hooks", planted)
+        # one extra even hook in the diagram of (3, 2), a t-type partition
+        # of 5 with hooks 4, 3, 1 / 2, 1
+        _plant_even_hooks(monkeypatch, {(3, 2)})
 
     @pytest.fixture
     def misconjugated(self, monkeypatch):
-        walk = partitions._prefix_walk
-
-        def planted(n_max):
-            # the walk hands (1, 1, 1) the conjugate (2, 1), the
-            # self-conjugate partition of 3
-            for n, lam, conj, odd, odd_conj in walk(n_max):
-                yield n, lam, (2, 1) if lam == (1, 1, 1) else conj, odd, odd_conj
-
-        monkeypatch.setattr(partitions, "_prefix_walk", planted)
+        # the walk hands (1, 1, 1) the conjugate (2, 1), the self-conjugate
+        # partition of 3
+        _replant_walk(monkeypatch, lambda node: [
+            (*node[:2], (2, 1), *node[3:]) if node[1] == (1, 1, 1) else node
+        ])
 
     @staticmethod
     def _hook_fault_reports(enum_bound, corner_bound):
@@ -644,9 +660,11 @@ class TestCombinatorialFaultInjection:
         assert check_conjugation_pairing(2).passed
 
 
-def _reference_sweep(enum_bound, corner_bound):
+def _reference_sweep(enum_bound, corner_bound, misread_partners=frozenset()):
     """The six combinatorial reports, each check run on its own in
-    decreasing lex order within each n, from the per-partition helpers."""
+    decreasing lex order within each n, from the per-partition helpers.
+    The partner of each partition in misread_partners has its type read
+    with O(lambda'') off by 2."""
     parity = corner = pairing = None
     even, odd = [], []
     index = 0  # counting from the empty partition
@@ -661,7 +679,8 @@ def _reference_sweep(enum_bound, corner_bound):
                 counts[stats.even_hooks % 2] += 1
                 # the partner's type, from O(lambda') and O(lambda'')
                 conj = partitions.conjugate(lam)
-                partner_type = stats.odd_parts_conjugate - verify.odd_parts_count(partitions.conjugate(conj))
+                partner_type = stats.odd_parts_conjugate - partitions.odd_parts_count(partitions.conjugate(conj))
+                partner_type += 2 * (lam in misread_partners)
                 if pairing is None and type_mod_4 and (conj == lam or partner_type % 4 == 0):
                     pairing = (index, n, None)
             if corner is None and 1 <= n <= corner_bound:
@@ -691,7 +710,7 @@ def _reference_sweep(enum_bound, corner_bound):
 
 
 class TestCombinatorialWalk:
-    """The sweep walks the partition prefix tree in increasing lex order and
+    """The sweep walks the partition suffix tree, in no lex order, and
     reports each failure at its index in decreasing lex order, as a check
     run partition by partition would."""
 
@@ -707,32 +726,34 @@ class TestCombinatorialWalk:
         {(12,), (1,) * 12, (4, 4, 2, 2)},
     ])
     def test_reports_match_the_reference_under_planted_faults(self, monkeypatch, planted):
-        real = partitions._even_hooks
-        monkeypatch.setattr(
-            partitions, "_even_hooks", lambda lam, conj: real(lam, conj) + (tuple(lam) in planted)
-        )
+        _plant_even_hooks(monkeypatch, planted)
         for bounds in ((14, 12), (0, 12), (14, 4)):
             assert verify._combinatorial_sweep(*bounds) == _reference_sweep(*bounds)
 
     @pytest.mark.parametrize("planted", [{(3,)}, {(6, 3), (2, 2, 2), (4, 1, 1)}, {(6, 1, 1), (2, 1, 1, 1, 1)}])
     def test_pairing_matches_the_reference_under_planted_faults(self, monkeypatch, planted):
-        # the partner of each planted u-type partition reads as t-type
-        real = verify.odd_parts_count
-        monkeypatch.setattr(verify, "odd_parts_count", lambda lam: real(lam) + 2 * (tuple(lam) in planted))
-        assert verify._combinatorial_sweep(12, 8) == _reference_sweep(12, 8)
+        # the partner of each planted u-type partition reads as t-type: the
+        # walk moves O and O' by 2 together, which keeps lambda's own type
+        # and moves its partner's, O(lambda') - O(lambda'')
+        _replant_walk(monkeypatch, lambda node: [
+            (*node[:3], node[3] + 2, node[4] + 2, *node[5:]) if node[1] in planted else node
+        ])
+        assert verify._combinatorial_sweep(12, 8) == _reference_sweep(12, 8, planted)
+
+    def test_self_conjugate_partition_read_as_u_type(self, monkeypatch):
+        # (2, 1) is its own conjugate. With O' moved by 2 it reads as u-type,
+        # and so does its partner, by O(lambda') - O(lambda''), so only the
+        # distinctness of the pair catches it; index 5 counts from n = 0
+        _replant_walk(monkeypatch, lambda node: [
+            (*node[:4], node[4] + 2, *node[5:]) if node[1] == (2, 1) else node
+        ])
+        assert suite_combinatorial(25)[-1] == _report("comb/u-partitions-pair-under-conjugation", 25, 5, 3, None)
 
     @staticmethod
     def _replant(monkeypatch, times):
         # the walk yields (4, 3), a t-type partition of 7 with evenly many
         # even hooks, `times` times; its subtree is walked as usual
-        walk = partitions._prefix_walk
-
-        def planted(n_max):
-            for node in walk(n_max):
-                for _ in range(times if node[1] == (4, 3) else 1):
-                    yield node
-
-        monkeypatch.setattr(partitions, "_prefix_walk", planted)
+        _replant_walk(monkeypatch, lambda node: [node] * (times if node[1] == (4, 3) else 1))
 
     def test_partition_yielded_twice(self, monkeypatch):
         self._replant(monkeypatch, 2)
@@ -760,6 +781,42 @@ class TestCombinatorialWalk:
         ]
         assert check_corner_lemma(7).passed
         assert check_corner_lemma(8) == _report("comb/corner-parity-lemma", 8, 47, 1, 5)
+
+
+def _mutant_walk(old, new):
+    """partitions._suffix_walk compiled with the one occurrence of old in
+    its source replaced by new."""
+    source = inspect.getsource(partitions._suffix_walk)
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), partitions.__file__, "exec"), vars(partitions).copy(), namespace)
+    return namespace["_suffix_walk"]
+
+
+class TestSuffixWalkMutations:
+    """Each update rule of the walk is load-bearing: a wrong rule makes the
+    sweep differ from the cell-by-cell reference and fail a check."""
+
+    def test_unmutated_source_matches_the_reference(self, monkeypatch):
+        # the recompiled walk itself, with a replacement that changes nothing
+        monkeypatch.setattr(partitions, "_suffix_walk", _mutant_walk("x - odd_conj", "x - odd_conj"))
+        assert verify._combinatorial_sweep(12, 8) == _reference_sweep(12, 8)
+
+    @pytest.mark.parametrize("old, new", [
+        # x's parity flipped in the row term
+        ("row_if_odd if x & 1 else row_if_even", "row_if_even if x & 1 else row_if_odd"),
+        # a off by one
+        ("a_base = m - a - m // 2", "a_base = m - a - m // 2 + 1"),
+        # ceil((x - m) / 2) new even hooks past column m
+        ("+ (x - m) // 2", "+ (x - m + 1) // 2"),
+        # O' = x + O(mu')
+        ("x - odd_conj", "x + odd_conj"),
+    ])
+    def test_mutant_is_caught(self, monkeypatch, old, new):
+        monkeypatch.setattr(partitions, "_suffix_walk", _mutant_walk(old, new))
+        reports = verify._combinatorial_sweep(12, 8)
+        assert reports != _reference_sweep(12, 8)
+        assert not all(r.passed for r in reports)
 
 
 def _in_process(order, enum_bound, oracle_bound):
@@ -842,8 +899,7 @@ class TestForkedCombinatorial:
         _assert_no_child()
 
     def test_a_planted_even_hook_fault_comes_back_unchanged(self, forks, monkeypatch):
-        real = partitions._even_hooks
-        monkeypatch.setattr(partitions, "_even_hooks", lambda lam, conj: real(lam, conj) + (lam == (3, 2)))
+        _plant_even_hooks(monkeypatch, {(3, 2)})
         reports = run_suite("all", 16, 25, 12)
         assert len(forks) == 1
         assert reports == _in_process(16, 25, 12)
