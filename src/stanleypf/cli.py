@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "about 17 s and --suite all about 100 s")
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25); the pass walks "
-                             "every partition of n <= the bound, about 0.09 s at 25 and 4-5 s at "
+                             "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
                              f"the cap of {ENUM_BOUND_CAP}")
     common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
                         help="bound of the partition-DP cross-check in verify and of "

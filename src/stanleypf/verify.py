@@ -388,15 +388,14 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
     Returns six reports in suite order: hook parity, the corner lemma, the
     three hook-counting identities, conjugation pairing.
     """
+    top = max(enum_bound, corner_bound)
     even_counts = [0] * (enum_bound + 1)  # per n <= enum_bound: partitions with evenly many even hooks
     odd_counts = [0] * (enum_bound + 1)  # ... and with oddly many
     # each check's first failure so far, as (n, lam, witnesses)
     parity_failure = corner_failure = pairing_failure = None
     hooks: dict[tuple[int, ...], int] = {}  # H_e by partition of n < corner_bound, for lambda-minus
     cornered = []  # (n, lam, lam', H_e) for 1 <= n <= corner_bound
-    for n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _ in partitions._suffix_walk(
-        max(enum_bound, corner_bound)
-    ):
+    for n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _ in partitions._suffix_walk(top):
         if n <= enum_bound:
             type_mod_4 = (odd_parts - odd_parts_conj) % 4
             if (type_mod_4 == 0) != (even_hooks % 2 == 0):
