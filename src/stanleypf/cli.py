@@ -20,15 +20,27 @@ have in common.
 Exit codes: 0 success / all checks pass, 1 verification failure (a failed
 check; an internal identity failing on computed values shows as failed
 checks), 2 usage error, 3 I/O error.
+
+Parsing: COMMON_OPTIONS and COMMANDS declare every option once. main
+first reads argv with _parse_exact, which accepts only a command followed
+by full-length flags with plain values and yields the namespace argparse
+would. Anything else (help, --version, an abbreviation, --flag=value, a
+negative number, every error) goes to the argparse parser that
+_build_parser makes from the same table, so argparse alone prints help
+and usage errors. argparse, and the gettext it loads, cost 10-15 ms of a
+fresh interpreter, which a well-formed command no longer pays. json stays
+a top-level import: most commands use it, `--version` then imports it too
+(perfbench warms its bytecode cache with `--version`), and importing it
+lazily saved nothing measurable on a cached export.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from itertools import chain, islice
+from types import SimpleNamespace
 
 from . import __version__, stanley, verify
 from .partitions import _partition_entries
@@ -142,7 +154,7 @@ _SERIES_FOR_STAT = {
 }
 
 
-def _stat_values(args: argparse.Namespace, stat: str) -> list[int]:
+def _stat_values(args, stat: str) -> list[int]:
     """One generating-function column at args.order, cache-aware."""
     if args.cache is None:
         return list(_SERIES_FOR_STAT[stat](args.order).coeffs)
@@ -159,7 +171,7 @@ def _stat_values(args: argparse.Namespace, stat: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, already checked by main
 
-def cmd_table(args: argparse.Namespace, out) -> int:
+def cmd_table(args, out) -> int:
     stats, max_n, oracle = args.stats, args.max_n, args.oracle
     columns = {s: _stat_values(args, s)[: max_n + 1] for s in stats}
     oracle_columns = {}
@@ -195,7 +207,7 @@ def cmd_table(args: argparse.Namespace, out) -> int:
     return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
+def cmd_verify(args, out) -> int:
     reports = verify.run_suite(
         args.suite,
         order=args.order,
@@ -229,7 +241,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
-def cmd_partition(args: argparse.Namespace, out) -> int:
+def cmd_partition(args, out) -> int:
     n, show_hooks = args.n, args.show_hooks
     if args.output_format == "json":  # one document, so the whole list is held
         listing = []
@@ -309,7 +321,7 @@ def parse_json_export(text: str) -> list[int]:
     return [_json_int(v) for v in doc["values"]]
 
 
-def cmd_export(args: argparse.Namespace, out) -> int:
+def cmd_export(args, out) -> int:
     stat, out_path = args.stat, args.out
     values = _stat_values(args, stat)[: args.max_n + 1]
     if args.output_format == "csv":
@@ -332,24 +344,56 @@ def cmd_export(args: argparse.Namespace, out) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=verify.DEFAULT_ORDER,
-                        help=f"series truncation order (default 200, at most {ORDER_CAP}); at the "
-                             "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
-                             "about 17 s and --suite all about 100 s")
-    common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
-                        help="exhaustive combinatorial bound (default 25); the pass walks "
-                             "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
-                             f"the cap of {ENUM_BOUND_CAP}")
-    common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
-                        help="bound of the partition-DP cross-check in verify and of "
-                             "the brute force in table --oracle (default 60); the DP takes "
-                             f"about 0.3 s at 300 and 3 s at verify's cap of {ORACLE_BOUND_CAP}")
-    common.add_argument("--format", choices=FORMATS, default="text", dest="output_format",
-                        help="output format (default text)")
-    common.add_argument("--cache", default=None,
-                        help=f"coefficient cache directory (or ${CACHE_ENV_VAR})")
+# Each option, declared once for both parsers: (flag, dest, type, default,
+# choices, required, help). A type of None keeps the string; bool makes a
+# switch, False unless given.
+COMMON_OPTIONS = (
+    ("--order", "order", int, verify.DEFAULT_ORDER, None, False,
+     f"series truncation order (default 200, at most {ORDER_CAP}); at the "
+     "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
+     "about 17 s and --suite all about 100 s"),
+    ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
+     "exhaustive combinatorial bound (default 25); the pass walks "
+     "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
+     f"the cap of {ENUM_BOUND_CAP}"),
+    ("--oracle-bound", "oracle_bound", int, verify.DEFAULT_ORACLE_BOUND, None, False,
+     "bound of the partition-DP cross-check in verify and of "
+     "the brute force in table --oracle (default 60); the DP takes "
+     f"about 0.3 s at 300 and 3 s at verify's cap of {ORACLE_BOUND_CAP}"),
+    ("--format", "output_format", None, "text", FORMATS, False, "output format (default text)"),
+    ("--cache", "cache", None, None, None, False, f"coefficient cache directory (or ${CACHE_ENV_VAR})"),
+)
+
+# command -> (its line in the top-level help, its options after the common ones)
+COMMANDS = {
+    "table": ("print columns of p, t, u, f", (
+        ("--stats", "stats", None, "p,t,u,f", None, False, "comma-separated subset of p,t,u,f (default all)"),
+        ("--max", "max_n", int, None, None, True, "largest n to print"),
+        ("--oracle", "oracle", bool, False, None, False,
+         "add brute-force enumeration columns and per-row match markers"),
+    )),
+    "verify": ("run identity verification suites", (
+        ("--suite", "suite", None, "all", verify.SUITE_NAMES, False, None),
+    )),
+    "partition": ("list partitions of n with statistics", (
+        ("--n", "n", int, None, None, True,
+         f"the number to partition, at most {PARTITION_LISTING_CAP}; at the cap the "
+         "listing holds 5,604 partitions and takes about 0.1 s with --show-hooks"),
+        ("--filter", "filter", None, "all", ("all", "t", "u"), False, None),
+        ("--show-hooks", "show_hooks", bool, False, None, False, "print the hook-length grid per partition"),
+    )),
+    "export": ("export one sequence", (
+        ("--stat", "stat", None, None, STATS, True, None),
+        ("--max", "max_n", int, None, None, True, None),
+        ("--out", "out", None, None, None, False, "output file (default stdout)"),
+    )),
+}
+
+
+def _build_parser():
+    """The argparse parser of the option table: the source of every help
+    text, of --version and of every parse error."""
+    import argparse  # only main's fallback needs it; see the module docstring
 
     parser = argparse.ArgumentParser(
         prog="stanleypf",
@@ -358,46 +402,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    # handlers are read when the parser is built, so a rebound cmd_* is the one called
-
-    p_table = sub.add_parser("table", parents=[common], help="print columns of p, t, u, f")
-    p_table.add_argument("--stats", default="p,t,u,f",
-                         help="comma-separated subset of p,t,u,f (default all)")
-    p_table.add_argument("--max", type=int, required=True, dest="max_n", help="largest n to print")
-    p_table.add_argument("--oracle", action="store_true",
-                         help="add brute-force enumeration columns and per-row match markers")
-    p_table.set_defaults(run=cmd_table)
-
-    p_verify = sub.add_parser("verify", parents=[common], help="run identity verification suites")
-    p_verify.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
-    p_verify.set_defaults(run=cmd_verify)
-
-    p_part = sub.add_parser("partition", parents=[common], help="list partitions of n with statistics")
-    p_part.add_argument("--n", type=int, required=True,
-                        help=f"the number to partition, at most {PARTITION_LISTING_CAP}; at the cap the "
-                             "listing holds 5,604 partitions and takes about 0.1 s with --show-hooks")
-    p_part.add_argument("--filter", choices=("all", "t", "u"), default="all")
-    p_part.add_argument("--show-hooks", action="store_true", help="print the hook-length grid per partition")
-    p_part.set_defaults(run=cmd_partition)
-
-    p_export = sub.add_parser("export", parents=[common], help="export one sequence")
-    p_export.add_argument("--stat", choices=STATS, required=True)
-    p_export.add_argument("--max", type=int, required=True, dest="max_n")
-    p_export.add_argument("--out", default=None, help="output file (default stdout)")
-    p_export.set_defaults(run=cmd_export)
-
+    for command, (summary, options) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=summary)
+        for flag, dest, kind, default, choices, required, help_text in COMMON_OPTIONS + options:
+            if kind is bool:
+                p_command.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                p_command.add_argument(flag, dest=dest, type=kind, default=default, choices=choices,
+                                       required=required, help=help_text)
     return parser
 
 
+def _parse_exact(argv) -> SimpleNamespace | None:
+    """The namespace _build_parser would make of argv, when every token is exact.
+
+    That is a command name followed by ``--flag value`` and ``--switch``
+    tokens, each flag spelled in full, each value converting with its type,
+    passing its choices and not starting with "-", and every required flag
+    given. Anything else is None and left to argparse: help, --version,
+    abbreviations, ``--flag=value``, negative numbers and every error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    rows = {row[0]: row for row in COMMON_OPTIONS + COMMANDS[command][1]}
+    values = {dest: default for _, dest, _, default, *_ in rows.values()}
+    given = set()
+    for flag in tokens:
+        if flag not in rows:
+            return None
+        _, dest, kind, _, choices, _, _ = rows[flag]
+        given.add(flag)
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is refused like an option
+        if value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(row[5] and flag not in given for flag, row in rows.items()):
+        return None
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse has already printed the message
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
+    args = _parse_exact(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse has already printed the message
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
     command = args.command
     try:
         # every usage check, in this order, comes before any series, suite or cache work
@@ -443,7 +508,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"{what} {', '.join(rest)}{',' if len(rest) > 1 else ''} or {last}")
 
         args.cache = args.cache or os.environ.get(CACHE_ENV_VAR)  # --cache "" falls back too
-        return args.run(args, sys.stdout)
+        # looked up by name now, so a cmd_* rebound after import is the one called
+        return globals()[f"cmd_{command}"](args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,8 +9,12 @@ module holds on every Python whose argparse words its messages its own way.
 """
 
 import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from stanleypf import __version__, cli, verify
 from stanleypf.cli import (
@@ -174,3 +178,91 @@ def test_main_calls_the_rebound_handler(argv, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert [(a.stat, a.max_n, a.order) for a in calls] == [("t", 3, verify.DEFAULT_ORDER)]
     assert capsys.readouterr().out == ""
+
+
+def _parse(parser, argv):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    fields = None if args is None else {k: v for k, v in vars(args).items() if k != "run"}
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+FLAGS = sorted({row[0] for _, options in cli.COMMANDS.values() for row in cli.COMMON_OPTIONS + options})
+VALUES = [
+    "0", "3", "8", "20", "200", "10001", "t", "u", "p", "f", "t,u", "all", "series",
+    "congruences", "combinatorial", "proof-steps", "text", "json", "csv", "bfile", "T",
+    "-1", "-0", " -2", "-x", "٣", "５", " 3", "3.0", "1_0", "+4", "", "-", "--", "x", "table",
+]
+TOKENS = (
+    list(cli.COMMANDS) + FLAGS + VALUES
+    + ["--ord", "--o", "--en", "--st", "--sh", "--fi", "--fo", "--ca", "--ou", "--max_n", "--stat_"]
+    + ["--max=3", "--stat=t", "--format=json", "--order=20", "--n=4", "--suite=series", "--cache="]
+    + ["-h", "--help", "--version", "-n", "--bogus"]
+)
+
+def _pair(row):
+    """One option of the table as its tokens, its value most often a plausible one."""
+    flag, _, kind, _, choices, _, _ = row
+    if kind is bool:
+        return st.just((flag,))
+    plausible = choices or (["0", "3", "8", "20", "200", "٣", " 3", "+4", "1_0"] if kind is int else ["t,u", "p", "dir"])
+    return st.tuples(st.just(flag), st.one_of(st.sampled_from(plausible), st.sampled_from(VALUES)))
+
+
+def _command_argv(command):
+    """The command, its required options and a few more in any order, then maybe a stray token."""
+    rows = cli.COMMON_OPTIONS + cli.COMMANDS[command][1]
+    options = st.builds(
+        lambda required, more: [*required, *more],
+        st.tuples(*(_pair(row) for row in rows if row[5])),
+        st.lists(st.one_of([_pair(row) for row in rows]), max_size=5),
+    )
+    return st.builds(
+        lambda pairs, tail: [command, *(t for pair in pairs for t in pair), *tail],
+        options.flatmap(st.permutations),
+        st.lists(st.sampled_from(TOKENS), max_size=1),
+    )
+
+
+# any tokens at all, or one command's options, which reach the exact path far more often
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=10),
+    st.sampled_from(list(cli.COMMANDS)).flatmap(_command_argv),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS)
+def test_exact_parse_is_the_reference_parse_or_none(argv):
+    fast = cli._parse_exact(argv)
+    reference = _parse(reference_parser(), argv)
+    event("exact path" if fast is not None else "argparse path")
+    if fast is not None:
+        assert reference == (vars(fast), None, "", "")
+    # the parser built from the option table parses and fails as the reference does
+    assert _parse(cli._build_parser(), argv) == reference
+
+
+WELL_FORMED = [
+    ["table", "--max", "12"],
+    ["table", "--stats", "t,u", "--max", "8", "--oracle", "--format", "json", "--order", "40"],
+    ["verify", "--suite", "all", "--order", "200", "--enum-bound", "25", "--oracle-bound", "50",
+     "--format", "text"],
+    ["verify"],
+    ["partition", "--n", "30", "--show-hooks", "--filter", "u", "--format", "json"],
+    ["export", "--stat", "t", "--max", "2000", "--order", "2000", "--enum-bound", "25",
+     "--oracle-bound", "60", "--format", "bfile", "--cache", "/tmp/c"],
+    ["export", "--max", "3", "--stat", "f", "--out", "f.txt", "--max", "4", "--cache", ""],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_well_formed_argv_takes_the_exact_path(argv):
+    fast = cli._parse_exact(argv)
+    assert fast is not None
+    assert _parse(reference_parser(), argv) == (vars(fast), None, "", "")

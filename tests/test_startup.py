@@ -7,6 +7,9 @@ with ``os.fork`` and sends the reports back with ``marshal``, so no process
 or pickling module is loaded either, at import or by the run. The child
 runs with -I -S so that no environment variable or site .pth file can
 preload them.
+
+A well-formed command line is parsed without argparse, which also loads
+gettext: argparse is imported only for help, --version and usage errors.
 """
 
 import json
@@ -38,7 +41,7 @@ def _loaded_after_import(module, names, then=""):
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    return set(json.loads(out))
+    return set(json.loads(out.splitlines()[-1]))  # after whatever `then` printed
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -60,3 +63,24 @@ def test_package_import_loads_every_layer():
         "stanleypf.stanley",
         "stanleypf.verify",
     } <= loaded
+
+
+PARSING = ("argparse", "gettext", "locale")
+
+WELL_FORMED = (
+    ["table", "--stats", "t,u", "--max", "6", "--format", "csv"],
+    ["export", "--stat", "t", "--max", "8", "--order", "20", "--format", "json"],
+    ["partition", "--n", "4", "--show-hooks"],
+    ["verify", "--suite", "all", "--order", "16", "--enum-bound", "8", "--oracle-bound", "12"],
+)
+
+
+def test_well_formed_commands_leave_argparse_unloaded():
+    then = "\n".join(f"assert stanleypf.cli.main({argv!r}) == 0" for argv in WELL_FORMED)
+    assert _loaded_after_import("stanleypf.cli", PARSING, then) & set(PARSING) == set()
+
+
+def test_help_loads_argparse():
+    # help, --version and usage errors all come from the argparse parser
+    then = "assert stanleypf.cli.main(['--help']) == 0"
+    assert "argparse" in _loaded_after_import("stanleypf.cli", PARSING, then)
