@@ -6,6 +6,11 @@ options moved into a table, copied verbatim. Each argv below runs through
 only parser, and must give the same exit code, stdout and stderr. The
 outputs are compared with each other, not with recorded digests, so the
 module holds on every Python whose argparse words its messages its own way.
+
+On argv that hypothesis makes from commands, flags, abbreviations, ``=``
+forms and odd values, ``cli._parse_exact`` must return None or the
+reference's namespace, and the parser built from the option table must
+parse or fail exactly as the reference does.
 """
 
 import argparse
@@ -98,7 +103,7 @@ def _run(capsys, argv):
 def _run_reference(capsys, monkeypatch, argv):
     with monkeypatch.context() as m:
         m.setattr(cli, "_build_parser", reference_parser)
-        m.setattr(cli, "_parse_exact", lambda argv: None, raising=False)
+        m.setattr(cli, "_parse_exact", lambda argv: None)
         return _run(capsys, argv)
 
 
@@ -188,6 +193,7 @@ def _parse(parser, argv):
             args, code = parser.parse_args(argv), None
         except SystemExit as exc:
             args, code = None, exc.code
+    # the reference's `run` default names the handler, which main now looks up by command
     fields = None if args is None else {k: v for k, v in vars(args).items() if k != "run"}
     return fields, code, out.getvalue(), err.getvalue()
 
@@ -205,12 +211,18 @@ TOKENS = (
     + ["-h", "--help", "--version", "-n", "--bogus"]
 )
 
+
 def _pair(row):
     """One option of the table as its tokens, its value most often a plausible one."""
     flag, _, kind, _, choices, _, _ = row
     if kind is bool:
         return st.just((flag,))
-    plausible = choices or (["0", "3", "8", "20", "200", "٣", " 3", "+4", "1_0"] if kind is int else ["t,u", "p", "dir"])
+    if choices:
+        plausible = choices
+    elif kind is int:
+        plausible = ["0", "3", "8", "20", "200", "٣", " 3", "+4", "1_0"]
+    else:
+        plausible = ["t,u", "p", "dir"]
     return st.tuples(st.just(flag), st.one_of(st.sampled_from(plausible), st.sampled_from(VALUES)))
 
 
@@ -256,7 +268,7 @@ WELL_FORMED = [
     ["verify"],
     ["partition", "--n", "30", "--show-hooks", "--filter", "u", "--format", "json"],
     ["export", "--stat", "t", "--max", "2000", "--order", "2000", "--enum-bound", "25",
-     "--oracle-bound", "60", "--format", "bfile", "--cache", "/tmp/c"],
+     "--oracle-bound", "60", "--format", "bfile", "--cache", "cache-dir"],
     ["export", "--max", "3", "--stat", "f", "--out", "f.txt", "--max", "4", "--cache", ""],
 ]
 
