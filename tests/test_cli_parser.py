@@ -42,7 +42,7 @@ def reference_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=verify.DEFAULT_ORDER,
                         help=f"series truncation order (default 200, at most {ORDER_CAP}); at the "
                              "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
-                             "about 17 s and --suite all about 100 s")
+                             "about 16 s and --suite all about 70 s")
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25); the pass walks "
                              "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "

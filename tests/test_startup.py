@@ -10,14 +10,23 @@ preload them.
 
 A well-formed command line is parsed without argparse, which also loads
 gettext: argparse is imported only for help, --version and usage errors.
+
+Every way of running the program goes through cli.run, which freezes the
+start-up heap so that the collections at interpreter exit skip it; main,
+which tests and the acceptance gate call in-process, leaves the collector
+as it was.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import stanleypf
+from stanleypf import cli
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stanleypf.__file__)))
 
@@ -84,3 +93,60 @@ def test_help_loads_argparse():
     # help, --version and usage errors all come from the argparse parser
     then = "assert stanleypf.cli.main(['--help']) == 0"
     assert "argparse" in _loaded_after_import("stanleypf.cli", PARSING, then)
+
+
+# the permanent generation is empty at start-up before Python 3.12, which
+# starts with a few hundred objects in it; count what is frozen after that
+_FREEZE_REPORT = """
+import atexit, gc, runpy, sys
+at_start = gc.get_freeze_count()
+sys.path.insert(0, {src!r})
+import stanleypf.cli
+for argv in {well_formed!r}:
+    assert stanleypf.cli.main(argv) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (at_start, True), argv
+sys.argv = ["stanleypf", *{export!r}]
+atexit.register(lambda: print("frozen", gc.get_freeze_count() - at_start))
+runpy.run_module("stanleypf", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_program_entry_freezes_and_main_does_not():
+    export = next(argv for argv in WELL_FORMED if argv[0] == "export")
+    code = _FREEZE_REPORT.format(src=SRC, well_formed=WELL_FORMED, export=export)
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.splitlines()[-1].split()  # the probe runs last, at exit
+    assert label == "frozen" and int(count) > 0
+
+
+ONE_ENTRY = (
+    *WELL_FORMED,
+    ["export", "--stat", "x", "--max", "3"],  # argparse refuses the choice
+    ["table", "--max", "6", "--format", "bfile"],  # main refuses the format
+    ["--version"],
+    ["export", "--help"],
+)
+
+
+@pytest.mark.parametrize("argv", ONE_ENTRY, ids=" ".join)
+def test_running_the_program_matches_main(argv, capsys, monkeypatch):
+    # python -m stanleypf and python -m stanleypf.cli go through run, which
+    # must print and exit exactly as main does in-process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    expected = (cli.main(argv), *capsys.readouterr())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    for module in ("stanleypf", "stanleypf.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, module
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["stanleypf"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
