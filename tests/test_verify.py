@@ -157,6 +157,75 @@ class TestProofSteps:
         assert [key for key, seen in Counter(built).items() if seen > 1] == []
 
 
+_U_PRODUCT = series_core.ProductSpec(
+    ((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 32, 32, 2), (-1, 1, 1, -1), (-1, 4, 4, -5), (-1, 16, 16, -1))
+)
+_V_PRODUCT = series_core.ProductSpec(((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1)))
+
+# (leaf, index planted with +1, every failing report of the proof steps and
+# the triple products at order 100 as tuples)
+PLANTED_LEAVES = [
+    (_U_PRODUCT, 10, [
+        ("proof/u-doubled-is-p-minus-f", 100, False, 12, 28, 24),
+        ("proof/u-as-odd-square-theta-quotient", 100, False, 12, 14, 12),
+        ("proof/u-with-doubled-sixteen-block", 100, False, 12, 14, 12),
+        ("proof/u-with-thirtytwo-block", 100, False, 12, 14, 12),
+        ("proof/u-as-v-at-q4", 100, False, 12, 14, 12),
+        ("proof/u-as-bilateral-triangular-times-v", 100, False, 12, 14, 12),
+        ("proof/u-as-triangular-times-v", 100, False, 12, 14, 12),
+        ("proof/u-as-residue-split-sum", 100, False, 12, 14, 12),
+    ]),
+    # V(q) is read at two orders, and both carry the defect
+    (_V_PRODUCT, 3, [
+        ("proof/u-as-v-at-q4", 100, False, 14, 110, 112),
+        ("proof/u-as-bilateral-triangular-times-v", 100, False, 14, 110, 112),
+        ("proof/u-as-triangular-times-v", 100, False, 14, 110, 112),
+        ("proof/u-as-residue-split-sum", 100, False, 14, 110, 112),
+        ("proof/u-extract-two-mod-four", 96, False, 14, 110, 112),
+        ("proof/u-progression-two-closed-form", 24, False, 3, 110, 112),
+    ]),
+    (series_core.ThetaSpec(32, -4, 0), 28, [
+        ("proof/theta-residue-split-mod-four", 100, False, 28, 1, 2),
+        ("proof/u-as-residue-split-sum", 100, False, 30, 3958, 3960),
+        ("proof/u-extract-two-mod-four", 96, False, 30, 3958, 3960),
+        ("proof/theta-32jj-triple-product", 100, False, 28, 2, 1),
+    ]),
+    (series_core.ProductSpec(((1, 0, 16, 1),)), 16, [
+        ("proof/neg-one-pochhammer-doubling", 100, False, 16, 3, 2),
+    ]),
+    (series_core.ThetaSpec(2, 0, 0, True), 8, [
+        ("proof/theta-even-squares-alternating", 100, False, 8, 3, 2),
+        ("proof/theta-difference-doubles-odd-squares", 100, False, 8, -1, 0),
+        ("series/jtp-k00-minus", 100, False, 8, 3, 2),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "leaf, index, failures", PLANTED_LEAVES, ids=["u", "v", "theta-32jj", "neg-one-16", "theta-alternating"]
+)
+def test_planted_leaf_gives_the_pinned_failing_reports(monkeypatch, leaf, index, failures):
+    # one coefficient of one primitive expansion is off by one; the failing
+    # reports, witnesses and bounds included, are pinned
+    def planted(real):
+        def expand(spec, order):
+            series = real(spec, order)
+            if spec == leaf and order >= index:
+                coeffs = list(series.coeffs)
+                coeffs[index] += 1
+                series = TruncatedSeries(coeffs)
+            return series
+
+        return expand
+
+    monkeypatch.setattr(verify, "expand_product", planted(verify.expand_product))
+    monkeypatch.setattr(verify, "expand_theta", planted(verify.expand_theta))
+    reports = check_proof_steps(100) + [
+        check_jtp(k, sign, 100) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1)
+    ]
+    assert [tuple(r) for r in reports if not r.passed] == failures
+
+
 def _proof_step_products(order):
     """The (order, factors) of every _prod call in check_proof_steps, in call order."""
     calls = []
