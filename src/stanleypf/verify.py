@@ -1,10 +1,19 @@
 """Machine verification of the series identities and hook-statistic theorems.
 
 Each check expands both sides of one identity from primitive constructors
-(products, theta sums, reciprocals) or counts partitions combinatorially, and
-reports the first mismatching index with both witness values. The two sides
-of a check never share a derived intermediate, so a compensating bug in one
-pipeline cannot hide.
+(products, theta sums) or counts partitions combinatorially, and reports the
+first mismatching index with both witness values. The two sides of a check
+never share a derived intermediate, so a compensating bug in one pipeline
+cannot hide.
+
+The proof steps and the triple-product family are data: rows of (check
+name, lhs term, rhs term), in ``PROOF_STEPS`` and made by ``_jtp_row`` from
+(k, sign). A term is a small tuple tree over primitive expansions, with its
+grammar given above ``PROOF_STEPS``. One evaluator, ``_expand``, reads it
+through a memo that lives for one list of rows, so a leaf or node that
+several rows read is built once per order. The rule above is checked on the
+table by a test: no row has the same product, theta or triangular leaf on
+both sides.
 
 The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
@@ -50,7 +59,6 @@ from .series_core import (
     series_dilate,
     series_monomial,
     series_mul,
-    series_reciprocal,
     series_truncate,
 )
 
@@ -109,14 +117,6 @@ def _values_equal(name: str, bound: int, lhs: Sequence[int | None], rhs: Sequenc
     return VerificationReport(name, bound, True)
 
 
-def _prod(order: int, *factors: tuple[int, int, int, int]) -> TruncatedSeries:
-    return expand_product(ProductSpec(factors), order)
-
-
-def _theta(order: int, a: int, b: int, c: int, alternating: bool = False) -> TruncatedSeries:
-    return expand_theta(ThetaSpec(a, b, c, alternating), order)
-
-
 def _triangular(order: int, bilateral: bool) -> TruncatedSeries:
     # sum q^{n(n+1)/2}, over n >= 0 or over every integer n, enumerated directly
     coeffs = [0] * (order + 1)
@@ -124,6 +124,192 @@ def _triangular(order: int, bilateral: bool) -> TruncatedSeries:
         if n * (n + 1) // 2 <= order:
             coeffs[n * (n + 1) // 2] += 1
     return TruncatedSeries(tuple(coeffs))
+
+
+# A row is (check name, lhs term, rhs term); both sides are expanded to the
+# order n the row is checked at and compared by assert_series_equal. A term
+# is a tuple tree read by _expand. Its leaves are
+#   ("prod", factors)            expand_product(ProductSpec(factors), n)
+#   ("theta", a, b, c, alt)      expand_theta(ThetaSpec(a, b, c, alt), n)
+#   ("tri", bilateral)           _triangular(n, bilateral)
+#   ("mono", coef, exp)          coef * q^exp
+# and its nodes are
+#   ("mul", x, y)  ("add", x, y, ...)  ("sub", x, y)  ("scale", k, x)
+#   ("dilate", m, x)             x(q^m), order m times x's
+#   ("extract", r, m, x)         the coefficients of x at r, r + m, r + 2m, ...
+#   ("at", r, m, x)              x read at order (n - r) // m
+# whose children are read at n unless the node says otherwise.
+
+_U = ("mul", ("mono", 2, 2), (
+    "prod", ((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 32, 32, 2), (-1, 1, 1, -1), (-1, 4, 4, -5), (-1, 16, 16, -1))
+))  # u's closed form 2 q^2 (q^2)^2 (q^8)^2 (q^32)^2 / ( (q) (q^4)^5 (q^16) )
+_P = ("prod", ((-1, 1, 1, -1),))  # 1/(q; q)
+_F = ("prod", ((1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2)))
+# p's odd/even split: (-q; q^2) / ( (q^4; q^4) (q^2; q^4)^2 )
+_P_SPLIT = ("prod", ((1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2)))
+# the common denominator of the two half quotients
+_COMMON_DENOMINATOR = ("prod", ((1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2)))
+# triple products of sum q^{2n^2} and its alternating twin
+_THETA_PLUS_PRODUCT = ("prod", ((-1, 4, 4, 1), (1, 2, 4, 2)))
+_THETA_ALT_PRODUCT = ("prod", ((-1, 4, 4, 1), (-1, 2, 4, 2)))
+_NEG_SIXTEEN = ("prod", ((1, 16, 16, 1),))  # (-q^16; q^16)
+_EVEN_ETA_OVER_ETA = ("prod", ((-1, 2, 2, 2), (-1, 1, 1, -1)))  # (q^2)^2 / (q)
+_V = ("prod", ((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1)))
+_V_Q4 = ("dilate", 4, ("at", -3, 4, _V))  # V(q) read at ceil(n / 4), so V(q^4) covers n
+_THETA_PLUS = ("theta", 2, 0, 0, False)
+_THETA_ALT = ("theta", 2, 0, 0, True)
+_THETA_ODD_SQUARES = ("theta", 8, 8, 2, False)  # sum q^{2 (2n+1)^2}
+_THETA_8NN = ("theta", 8, 8, 0, False)
+_THETA_TRI = ("theta", 2, -1, 0, False)  # sum q^{2n^2 - n}
+_THETA_32JJ = ("theta", 32, -4, 0, False)
+# sum q^{2n^2 - n} with n split over its residues mod 4
+_THETA_RESIDUES = (
+    "add", _THETA_32JJ, ("theta", 32, 12, 1, False), ("theta", 32, 28, 6, False), ("theta", 32, 44, 15, False)
+)
+_TRI = ("tri", False)
+_TRI_BILATERAL = ("tri", True)
+_ODD_SQUARE_QUOTIENT = ("mul", _COMMON_DENOMINATOR, _THETA_ODD_SQUARES)
+_Q2 = ("mono", 1, 2)
+_TWO_Q2 = ("mono", 2, 2)
+
+#: Every displayed rewriting used to derive the u(n) closed forms, in report order.
+PROOF_STEPS = (
+    # 1/(q;q) rewritten over the mod-4 classes of exponents
+    ("proof/p-gf-odd-even-quotient", _P, _P_SPLIT),
+    # twice the closed form equals p - f
+    ("proof/u-doubled-is-p-minus-f", ("scale", 2, _U), ("sub", _P, _F)),
+    # the two half quotients combine over a common denominator
+    ("proof/u-difference-single-quotient", ("sub", _P_SPLIT, _F),
+     ("mul", _COMMON_DENOMINATOR, ("sub", _THETA_PLUS_PRODUCT, _THETA_ALT_PRODUCT))),
+    # sum q^{2n^2} and its alternating twin as triple products
+    ("proof/theta-even-squares-plus", _THETA_PLUS, _THETA_PLUS_PRODUCT),
+    ("proof/theta-even-squares-alternating", _THETA_ALT, _THETA_ALT_PRODUCT),
+    # their difference doubles the odd-square subsum
+    ("proof/theta-difference-doubles-odd-squares", ("sub", _THETA_PLUS, _THETA_ALT),
+     ("scale", 2, _THETA_ODD_SQUARES)),
+    # u written as a single theta quotient
+    ("proof/u-as-odd-square-theta-quotient", _U, _ODD_SQUARE_QUOTIENT),
+    # pulling q^2 out of the odd-square theta
+    ("proof/u-theta-shift-rewrite", _ODD_SQUARE_QUOTIENT,
+     ("mul", _Q2, ("mul", ("prod", ((1, 1, 2, 1), (-1, 4, 4, -2), (-1, 4, 8, -2))), _THETA_8NN))),
+    # sum q^{8n^2+8n} as a triple product with the (-1; q^16) factor
+    ("proof/theta-8nn-triple-product", _THETA_8NN, ("prod", ((1, 16, 16, 1), (1, 0, 16, 1), (-1, 16, 16, 1)))),
+    # (-1; q^16) = 2 (-q^16; q^16)
+    ("proof/neg-one-pochhammer-doubling", ("prod", ((1, 0, 16, 1),)), ("scale", 2, _NEG_SIXTEEN)),
+    # resolving the theta gives the doubled sixteen block ...
+    ("proof/u-with-doubled-sixteen-block", _U, ("mul", _TWO_Q2, (
+        "prod", ((1, 16, 16, 2), (1, 1, 2, 1), (-1, 16, 16, 1), (-1, 4, 4, -2), (-1, 4, 8, -2))
+    ))),
+    # ... which pairs into a (q^32; q^32) factor
+    ("proof/u-with-thirtytwo-block", _U, ("mul", _TWO_Q2, (
+        "prod", ((-1, 32, 32, 1), (1, 1, 2, 1), (1, 16, 16, 1), (-1, 4, 4, -2), (-1, 4, 8, -2))
+    ))),
+    # the three product rewritings used in the final assembly
+    ("proof/odd-pochhammer-eta-ratio", ("prod", ((1, 1, 2, 1),)),
+     ("prod", ((-1, 2, 2, 2), (-1, 1, 1, -1), (-1, 4, 4, -1)))),
+    ("proof/four-mod-eight-eta-ratio", ("prod", ((-1, 4, 8, 1),)), ("prod", ((-1, 4, 4, 1), (-1, 8, 8, -1)))),
+    ("proof/neg-sixteen-pochhammer-eta-ratio", _NEG_SIXTEEN, ("prod", ((-1, 32, 32, 1), (-1, 16, 16, -1)))),
+    # u factored through V(q^4)
+    ("proof/u-as-v-at-q4", _U, ("mul", _TWO_Q2, ("mul", _EVEN_ETA_OVER_ETA, _V_Q4))),
+    # (q^2)^2/(q) = (q^2)/(q; q^2)
+    ("proof/even-pochhammer-split", _EVEN_ETA_OVER_ETA, ("prod", ((-1, 2, 2, 1), (-1, 1, 2, -1)))),
+    # Euler: 1/(q; q^2) = (-q; q)
+    ("proof/euler-odd-distinct", ("prod", ((-1, 1, 2, -1),)), ("prod", ((1, 1, 1, 1),))),
+    # (q^2; q^2) = (q; q)(-q; q)
+    ("proof/even-eta-splits-odd-even", ("prod", ((-1, 2, 2, 1),)), ("prod", ((-1, 1, 1, 1), (1, 1, 1, 1)))),
+    # (q)(-1; q)(-q; q) is the bilateral triangular-number sum
+    ("proof/triangular-triple-product", ("prod", ((-1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1))), _TRI_BILATERAL),
+    ("proof/triangular-bilateral-doubling", _TRI_BILATERAL, ("scale", 2, _TRI)),
+    # one-sided triangular numbers re-indexed as a bilateral theta
+    ("proof/triangular-reindex-bilateral", _TRI, _THETA_TRI),
+    ("proof/u-as-bilateral-triangular-times-v", _U, ("mul", _Q2, ("mul", _TRI_BILATERAL, _V_Q4))),
+    ("proof/u-as-triangular-times-v", _U, ("mul", _TWO_Q2, ("mul", _TRI, _V_Q4))),
+    # splitting the theta index over residues mod 4
+    ("proof/theta-residue-split-mod-four", _THETA_TRI, _THETA_RESIDUES),
+    ("proof/u-as-residue-split-sum", _U, ("mul", _TWO_Q2, ("mul", _THETA_RESIDUES, _V_Q4))),
+    # extracting the q^{4j+2} terms isolates one residue theta
+    ("proof/u-extract-two-mod-four", ("mul", _Q2, ("dilate", 4, ("extract", 2, 4, _U))),
+     ("mul", _TWO_Q2, ("mul", _THETA_32JJ, _V_Q4))),
+    # sum q^{32 j^2 - 4 j} as a triple product
+    ("proof/theta-32jj-triple-product", _THETA_32JJ,
+     ("prod", ((-1, 64, 64, 1), (1, 28, 64, 1), (1, 36, 64, 1)))),
+    # the simplified u(4n+2) progression in the q variable
+    ("proof/u-progression-two-closed-form", ("extract", 2, 4, _U),
+     ("scale", 2, ("at", 2, 4, ("mul", ("prod", ((-1, 16, 16, 1), (1, 7, 16, 1), (1, 9, 16, 1))), _V)))),
+)
+
+
+def _jtp_row(k: int, sign: int) -> tuple:
+    """The row of ``check_jtp(k, sign, order)``."""
+    m = 2 * k + 2
+    return (
+        f"series/jtp-k{k:02d}-{'plus' if sign == 1 else 'minus'}",
+        ("theta", m, k, 0, sign == -1),
+        ("prod", ((sign, 3 * k + 2, 2 * m, 1), (sign, k + 2, 2 * m, 1), (-1, 2 * m, 2 * m, 1))),
+    )
+
+
+def _expand(term: tuple, n: int, memo: dict) -> TruncatedSeries:
+    """The series a term denotes, to order n, kept in memo by order if memo
+    has a slot for the term. The primitive constructors are looked up as
+    module globals at each call, so a wrapper bound over one of them sees
+    every expansion.
+    """
+    built = memo.get(term)
+    if built is not None and n in built:
+        return built[n]
+    kind = term[0]
+    if kind == "prod":
+        series = expand_product(ProductSpec(term[1]), n)
+    elif kind == "theta":
+        series = expand_theta(ThetaSpec(*term[1:]), n)
+    elif kind == "tri":
+        series = _triangular(n, term[1])
+    elif kind == "mono":
+        series = series_monomial(term[1], term[2], n)
+    elif kind == "mul":
+        series = series_mul(_expand(term[1], n, memo), _expand(term[2], n, memo))
+    elif kind == "add":
+        series = _expand(term[1], n, memo)
+        for child in term[2:]:
+            series = series + _expand(child, n, memo)
+    elif kind == "sub":
+        series = _expand(term[1], n, memo) - _expand(term[2], n, memo)
+    elif kind == "scale":
+        series = term[1] * _expand(term[2], n, memo)
+    elif kind == "dilate":
+        series = series_dilate(_expand(term[2], n, memo), term[1])
+    elif kind == "extract":
+        series = extract_progression(_expand(term[3], n, memo), term[1], term[2])
+    else:  # "at"
+        series = _expand(term[3], (n - term[1]) // term[2], memo)
+    if built is not None:
+        built[n] = series
+    return series
+
+
+def _check_rows(rows: Sequence[tuple], order: int) -> list[VerificationReport]:
+    """One report per row, in row order, through one memo.
+
+    The memo has a slot only for each term read in more than one place, as
+    a hand-written proof names only its shared intermediates; a term read
+    once is dropped once read.
+    """
+    seen: set = set()
+    memo: dict = {}
+    terms = [side for _, lhs, rhs in rows for side in (lhs, rhs)]
+    while terms:
+        term = terms.pop()
+        if term in seen:
+            memo[term] = {}
+        else:
+            seen.add(term)
+            if term[0] != "prod":  # a product's factors are no terms
+                terms.extend(child for child in term[1:] if isinstance(child, tuple))
+    return [
+        assert_series_equal(name, _expand(lhs, order, memo), _expand(rhs, order, memo))
+        for name, lhs, rhs in rows
+    ]
 
 
 def check_jtp(k: int, sign: int, order: int) -> VerificationReport:
@@ -138,11 +324,7 @@ def check_jtp(k: int, sign: int, order: int) -> VerificationReport:
         raise ValueError(f"specialization exponent must be nonnegative, got {k}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    m = 2 * k + 2
-    lhs = _theta(order, m, k, 0, alternating=(sign == -1))
-    rhs = _prod(order, (sign, 3 * k + 2, 2 * m, 1), (sign, k + 2, 2 * m, 1), (-1, 2 * m, 2 * m, 1))
-    tag = "plus" if sign == 1 else "minus"
-    return assert_series_equal(f"series/jtp-k{k:02d}-{tag}", lhs, rhs)
+    return _check_rows([_jtp_row(k, sign)], order)[0]
 
 
 def _check_proof_order(order: int) -> None:
@@ -155,203 +337,18 @@ def _check_proof_order(order: int) -> None:
 def check_proof_steps(order: int) -> list[VerificationReport]:
     """Verify every displayed rewriting used to derive the u(n) closed forms.
 
-    Both sides of each step are constructed from primitive expansions, never
-    from the higher-level series under test. A product or theta sum that
-    several steps read is expanded once and named; no step reads the same
-    named value on both of its sides. Requires order >= 8 so every step has
-    nontrivial content, and order <= MAX_DILATION_ORDER so the dilation of
-    V(q) to V(q^4) stays within series_dilate's cap. Both are checked
-    before anything is expanded.
+    Each step is one row of PROOF_STEPS, and both of its sides are terms
+    over primitive expansions, never over the higher-level series under
+    test. The rows are read through one memo, so a product, theta sum or
+    node that several steps read is built once per order. That sharing is
+    safe because no row has a product, theta or triangular leaf on both of
+    its sides; a test checks the table for that. Requires order >= 8 so
+    every step has nontrivial content, and order <= MAX_DILATION_ORDER so
+    the dilation of V(q) to V(q^4) stays within series_dilate's cap. Both
+    are checked before anything is expanded.
     """
     _check_proof_order(order)
-    n = order
-    q2 = series_monomial(1, 2, n)
-
-    # shared closed form: 2 q^2 (q^2)^2 (q^8)^2 (q^32)^2 / ( (q) (q^4)^5 (q^16) )
-    u_closed = series_mul(
-        series_monomial(2, 2, n),
-        _prod(n, (-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 32, 32, 2),
-              (-1, 1, 1, -1), (-1, 4, 4, -5), (-1, 16, 16, -1)),
-    )
-    p_gf = series_reciprocal(_prod(n, (-1, 1, 1, 1)))
-    f_gf = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2))
-    # p's odd/even split: (-q; q^2) / ( (q^4; q^4) (q^2; q^4)^2 )
-    p_split = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2))
-    # the common denominator of the two half quotients
-    common_denominator = _prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 2, 4, -2), (1, 2, 4, -2))
-    # triple products of sum q^{2n^2} and its alternating twin
-    theta_plus_product = _prod(n, (-1, 4, 4, 1), (1, 2, 4, 2))
-    theta_alt_product = _prod(n, (-1, 4, 4, 1), (-1, 2, 4, 2))
-    neg_sixteen = _prod(n, (1, 16, 16, 1))  # (-q^16; q^16)
-    even_eta_over_eta = _prod(n, (-1, 2, 2, 2), (-1, 1, 1, -1))  # (q^2)^2 / (q)
-
-    # V(q) at an order whose 4-fold dilation covers n
-    v_q = _prod((n + 3) // 4, (-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1))
-    v_q4 = series_dilate(v_q, 4)
-
-    theta_plus = _theta(n, 2, 0, 0)
-    theta_alt = _theta(n, 2, 0, 0, alternating=True)
-    theta_odd_sq = _theta(n, 8, 8, 2)          # sum q^{2 (2n+1)^2}
-    theta_8nn = _theta(n, 8, 8, 0)
-    theta_tri = _theta(n, 2, -1, 0)            # sum q^{2n^2 - n}
-    theta_32jj = _theta(n, 32, -4, 0)
-    # sum q^{2n^2 - n} with n split over its residues mod 4
-    theta_residues = theta_32jj + _theta(n, 32, 12, 1) + _theta(n, 32, 28, 6) + _theta(n, 32, 44, 15)
-    tri_one_sided = _triangular(n, bilateral=False)
-    tri_bilateral = _triangular(n, bilateral=True)
-    odd_square_quotient = series_mul(common_denominator, theta_odd_sq)
-
-    reports = [
-        # 1/(q;q) rewritten over the mod-4 classes of exponents
-        assert_series_equal("proof/p-gf-odd-even-quotient", p_gf, p_split),
-        # twice the closed form equals p - f
-        assert_series_equal("proof/u-doubled-is-p-minus-f", 2 * u_closed, p_gf - f_gf),
-        # the two half quotients combine over a common denominator
-        assert_series_equal(
-            "proof/u-difference-single-quotient",
-            p_split - f_gf,
-            series_mul(common_denominator, theta_plus_product - theta_alt_product),
-        ),
-        # sum q^{2n^2} and its alternating twin as triple products
-        assert_series_equal("proof/theta-even-squares-plus", theta_plus, theta_plus_product),
-        assert_series_equal("proof/theta-even-squares-alternating", theta_alt, theta_alt_product),
-        # their difference doubles the odd-square subsum
-        assert_series_equal(
-            "proof/theta-difference-doubles-odd-squares",
-            theta_plus - theta_alt,
-            2 * theta_odd_sq,
-        ),
-        # u written as a single theta quotient
-        assert_series_equal("proof/u-as-odd-square-theta-quotient", u_closed, odd_square_quotient),
-        # pulling q^2 out of the odd-square theta
-        assert_series_equal(
-            "proof/u-theta-shift-rewrite",
-            odd_square_quotient,
-            series_mul(
-                q2,
-                series_mul(_prod(n, (1, 1, 2, 1), (-1, 4, 4, -2), (-1, 4, 8, -2)), theta_8nn),
-            ),
-        ),
-        # sum q^{8n^2+8n} as a triple product with the (-1; q^16) factor
-        assert_series_equal(
-            "proof/theta-8nn-triple-product",
-            theta_8nn,
-            _prod(n, (1, 16, 16, 1), (1, 0, 16, 1), (-1, 16, 16, 1)),
-        ),
-        # (-1; q^16) = 2 (-q^16; q^16)
-        assert_series_equal(
-            "proof/neg-one-pochhammer-doubling", _prod(n, (1, 0, 16, 1)), 2 * neg_sixteen
-        ),
-        # resolving the theta gives the doubled sixteen block ...
-        assert_series_equal(
-            "proof/u-with-doubled-sixteen-block",
-            u_closed,
-            series_mul(
-                series_monomial(2, 2, n),
-                _prod(n, (1, 16, 16, 2), (1, 1, 2, 1), (-1, 16, 16, 1),
-                      (-1, 4, 4, -2), (-1, 4, 8, -2)),
-            ),
-        ),
-        # ... which pairs into a (q^32; q^32) factor
-        assert_series_equal(
-            "proof/u-with-thirtytwo-block",
-            u_closed,
-            series_mul(
-                series_monomial(2, 2, n),
-                _prod(n, (-1, 32, 32, 1), (1, 1, 2, 1), (1, 16, 16, 1),
-                      (-1, 4, 4, -2), (-1, 4, 8, -2)),
-            ),
-        ),
-        # the three product rewritings used in the final assembly
-        assert_series_equal(
-            "proof/odd-pochhammer-eta-ratio",
-            _prod(n, (1, 1, 2, 1)),
-            _prod(n, (-1, 2, 2, 2), (-1, 1, 1, -1), (-1, 4, 4, -1)),
-        ),
-        assert_series_equal(
-            "proof/four-mod-eight-eta-ratio",
-            _prod(n, (-1, 4, 8, 1)),
-            _prod(n, (-1, 4, 4, 1), (-1, 8, 8, -1)),
-        ),
-        assert_series_equal(
-            "proof/neg-sixteen-pochhammer-eta-ratio",
-            neg_sixteen,
-            _prod(n, (-1, 32, 32, 1), (-1, 16, 16, -1)),
-        ),
-        # u factored through V(q^4)
-        assert_series_equal(
-            "proof/u-as-v-at-q4",
-            u_closed,
-            series_mul(series_monomial(2, 2, n), series_mul(even_eta_over_eta, v_q4)),
-        ),
-        # (q^2)^2/(q) = (q^2)/(q; q^2)
-        assert_series_equal(
-            "proof/even-pochhammer-split",
-            even_eta_over_eta,
-            _prod(n, (-1, 2, 2, 1), (-1, 1, 2, -1)),
-        ),
-        # Euler: 1/(q; q^2) = (-q; q)
-        assert_series_equal(
-            "proof/euler-odd-distinct", _prod(n, (-1, 1, 2, -1)), _prod(n, (1, 1, 1, 1))
-        ),
-        # (q^2; q^2) = (q; q)(-q; q)
-        assert_series_equal(
-            "proof/even-eta-splits-odd-even",
-            _prod(n, (-1, 2, 2, 1)),
-            _prod(n, (-1, 1, 1, 1), (1, 1, 1, 1)),
-        ),
-        # (q)(-1; q)(-q; q) is the bilateral triangular-number sum
-        assert_series_equal(
-            "proof/triangular-triple-product",
-            _prod(n, (-1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)),
-            tri_bilateral,
-        ),
-        assert_series_equal(
-            "proof/triangular-bilateral-doubling", tri_bilateral, 2 * tri_one_sided
-        ),
-        # one-sided triangular numbers re-indexed as a bilateral theta
-        assert_series_equal("proof/triangular-reindex-bilateral", tri_one_sided, theta_tri),
-        assert_series_equal(
-            "proof/u-as-bilateral-triangular-times-v",
-            u_closed,
-            series_mul(q2, series_mul(tri_bilateral, v_q4)),
-        ),
-        assert_series_equal(
-            "proof/u-as-triangular-times-v",
-            u_closed,
-            series_mul(series_monomial(2, 2, n), series_mul(tri_one_sided, v_q4)),
-        ),
-        # splitting the theta index over residues mod 4
-        assert_series_equal("proof/theta-residue-split-mod-four", theta_tri, theta_residues),
-        assert_series_equal(
-            "proof/u-as-residue-split-sum",
-            u_closed,
-            series_mul(series_monomial(2, 2, n), series_mul(theta_residues, v_q4)),
-        ),
-        # extracting the q^{4j+2} terms isolates one residue theta
-        assert_series_equal(
-            "proof/u-extract-two-mod-four",
-            series_mul(q2, series_dilate(extract_progression(u_closed, 2, 4), 4)),
-            series_mul(series_monomial(2, 2, n), series_mul(theta_32jj, v_q4)),
-        ),
-        # sum q^{32 j^2 - 4 j} as a triple product
-        assert_series_equal(
-            "proof/theta-32jj-triple-product",
-            theta_32jj,
-            _prod(n, (-1, 64, 64, 1), (1, 28, 64, 1), (1, 36, 64, 1)),
-        ),
-        # the simplified u(4n+2) progression in the q variable
-        assert_series_equal(
-            "proof/u-progression-two-closed-form",
-            extract_progression(u_closed, 2, 4),
-            2
-            * series_mul(
-                _prod((n - 2) // 4, (-1, 16, 16, 1), (1, 7, 16, 1), (1, 9, 16, 1)),
-                _prod((n - 2) // 4, (-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1)),
-            ),
-        ),
-    ]
-    return reports
+    return _check_rows(PROOF_STEPS, order)
 
 
 def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
@@ -611,10 +608,8 @@ def suite_series(
                     extract_progression(u, i, 4),
                 )
             )
-    for k in range(DEFAULT_JTP_MAX_K + 1):
-        for sign in (1, -1):
-            reports.append(check_jtp(k, sign, order))
-    return reports
+    jtp_rows = [_jtp_row(k, sign) for k in range(DEFAULT_JTP_MAX_K + 1) for sign in (1, -1)]
+    return reports + _check_rows(jtp_rows, order)
 
 
 def suite_combinatorial(enum_bound: int = DEFAULT_ENUM_BOUND) -> list[VerificationReport]:

@@ -201,7 +201,8 @@ class TestVerifyCommand:
         def no_suite(*args, **kwargs):
             raise AssertionError("a suite ran past the proof steps' order cap")
 
-        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_prod"):
+        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_expand",
+                     "expand_product", "expand_theta"):
             monkeypatch.setattr(verify, name, no_suite)
         code, out, err = run(capsys, "verify", "--suite", "all", "--order", "10001")
         assert (code, out, err) == (2, "", "error: --order is capped at 10000, got 10001\n")

@@ -102,7 +102,8 @@ class TestProofSteps:
         def no_suite(*args, **kwargs):
             raise AssertionError("a suite ran past the proof steps' order cap")
 
-        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_prod"):
+        for name in ("suite_series", "suite_combinatorial", "check_congruences", "_expand",
+                     "expand_product", "expand_theta"):
             monkeypatch.setattr(verify, name, no_suite)
         cap = series_core.MAX_DILATION_ORDER
         with pytest.raises(ValueError, match=rf"^proof steps need order <= {cap}, got {cap + 1}$"):
@@ -116,7 +117,7 @@ class TestProofSteps:
         def sentinel(*args, **kwargs):
             raise Expanded
 
-        monkeypatch.setattr(verify, "_prod", sentinel)
+        monkeypatch.setattr(verify, "expand_product", sentinel)
         with pytest.raises(Expanded):
             check_proof_steps(series_core.MAX_DILATION_ORDER)
 
@@ -139,22 +140,24 @@ class TestProofSteps:
         assert len(set(names)) == len(names)
 
     def test_each_expansion_built_once(self, monkeypatch):
-        # a product or theta sum that several steps read is expanded once
+        # a product, theta sum or triangular sum that several steps read is
+        # expanded once per order
         built = []
-        real_prod, real_theta = verify._prod, verify._theta
 
-        def prod(order, *factors):
-            built.append(("prod", order, factors))
-            return real_prod(order, *factors)
+        def counted(name):
+            real = getattr(verify, name)
 
-        def theta(order, a, b, c, alternating=False):
-            built.append(("theta", order, (a, b, c, alternating)))
-            return real_theta(order, a, b, c, alternating)
+            def expand(*args):
+                built.append((name, *args))
+                return real(*args)
 
-        monkeypatch.setattr(verify, "_prod", prod)
-        monkeypatch.setattr(verify, "_theta", theta)
+            monkeypatch.setattr(verify, name, expand)
+
+        for name in ("expand_product", "expand_theta", "_triangular"):
+            counted(name)
         check_proof_steps(100)
         assert [key for key, seen in Counter(built).items() if seen > 1] == []
+        assert Counter(name for name, *_ in built) == {"expand_product": 29, "expand_theta": 9, "_triangular": 2}
 
 
 _U_PRODUCT = series_core.ProductSpec(
@@ -226,20 +229,21 @@ def test_planted_leaf_gives_the_pinned_failing_reports(monkeypatch, leaf, index,
     assert [tuple(r) for r in reports if not r.passed] == failures
 
 
-def _proof_step_products(order):
-    """The (order, factors) of every _prod call in check_proof_steps, in call order."""
+def _proof_step_leaves(name, order):
+    """The (order, spec) of every call check_proof_steps makes to
+    ``verify.<name>``, in call order; each is one distinct leaf."""
     calls = []
-    real = verify._prod
+    real = getattr(verify, name)
 
-    def recording(n, *factors):
-        calls.append((n, factors))
-        return real(n, *factors)
+    def recording(spec, n):
+        calls.append((n, spec))
+        return real(spec, n)
 
-    verify._prod = recording
+    setattr(verify, name, recording)
     try:
         check_proof_steps(order)
     finally:
-        verify._prod = real
+        setattr(verify, name, real)
     return calls
 
 
@@ -252,31 +256,58 @@ class TestProofStepMutations:
     def test_every_factor_reaches_its_truncation(self):
         # a factor whose first term lies past its call's order is truncated
         # away, and no mutation of it could be seen
-        for order, factors in _proof_step_products(self.ORDER):
-            for sign, offset, step, exponent in factors:
-                assert (offset or step) <= order, (order, factors)
+        for order, spec in _proof_step_leaves("expand_product", self.ORDER):
+            for sign, offset, step, exponent in spec.factors:
+                assert (offset or step) <= order, (order, spec)
 
     def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
-        calls = _proof_step_products(self.ORDER)
-        real = verify._prod
+        # each product leaf is mutated at each order it is read at: V(q) is
+        # read at two orders, and each must matter on its own
+        calls = _proof_step_leaves("expand_product", self.ORDER)
+        real = verify.expand_product
         missed = []
-        for target, (_, factors) in enumerate(calls):
+        for target in calls:
+            factors = target[1].factors
             for k, (sign, offset, step, exponent) in enumerate(factors):
-                mutated = list(factors)
-                mutated[k] = (sign, offset, step, exponent + (1 if exponent > 0 else -1))
-                seen = iter(range(len(calls)))
+                mutated = series_core.ProductSpec(
+                    factors[:k] + ((sign, offset, step, _one_more_power(exponent)),) + factors[k + 1:]
+                )
 
-                def mutant(n, *fs, mutated=tuple(mutated), seen=seen, target=target):
-                    return real(n, *(mutated if next(seen) == target else fs))
+                def mutant(spec, n, mutated=mutated, target=target):
+                    return real(mutated if (n, spec) == target else spec, n)
 
-                monkeypatch.setattr(verify, "_prod", mutant)
+                monkeypatch.setattr(verify, "expand_product", mutant)
                 try:
                     reports = check_proof_steps(self.ORDER)
                 except ValueError:
                     continue
                 if all(r.passed for r in reports):
-                    missed.append((target, factors, k))
-        assert sum(len(factors) for _, factors in calls) == 74
+                    missed.append((target, k))
+        assert sum(len(spec.factors) for _, spec in calls) == 74
+        assert missed == []
+
+
+class TestProofStepThetaMutations:
+    """Every theta leaf of the proof steps must matter: shifting its constant
+    term by one, or flipping its alternating sign, must fail some step."""
+
+    ORDER = 100
+
+    def test_shifted_or_sign_flipped_theta_is_caught(self, monkeypatch):
+        leaves = [spec for _, spec in _proof_step_leaves("expand_theta", self.ORDER)]
+        real = verify.expand_theta
+        mutants, missed = 0, []
+        for target in leaves:
+            for mutated in (target._replace(c=target.c + 1), target._replace(alternating=not target.alternating)):
+
+                def mutant(spec, n, mutated=mutated, target=target):
+                    return real(mutated if spec == target else spec, n)
+
+                monkeypatch.setattr(verify, "expand_theta", mutant)
+                mutants += 1
+                if all(r.passed for r in check_proof_steps(self.ORDER)):
+                    missed.append(mutated)
+        assert (len(leaves), mutants) == (9, 18)
         assert missed == []
 
 
@@ -325,23 +356,72 @@ class TestTripleProductMutations:
     ORDER = 200
 
     def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
-        real = verify._prod
+        real = verify.expand_product
         mutants, missed = 0, []
         for k in range(verify.DEFAULT_JTP_MAX_K + 1):
             for sign in (1, -1):
                 for target in range(3):
 
-                    def mutant(n, *fs, target=target):
+                    def mutant(spec, n, target=target):
+                        fs = spec.factors
                         sign_, offset, step, exponent = fs[target]
                         mutated = (sign_, offset, step, _one_more_power(exponent))
-                        return real(n, *fs[:target], mutated, *fs[target + 1:])
+                        return real(series_core.ProductSpec(fs[:target] + (mutated,) + fs[target + 1:]), n)
 
-                    monkeypatch.setattr(verify, "_prod", mutant)
+                    monkeypatch.setattr(verify, "expand_product", mutant)
                     mutants += 1
                     if check_jtp(k, sign, self.ORDER).passed:
                         missed.append((k, sign, target))
         assert mutants == 66
         assert missed == []
+
+
+def _leaves(term):
+    """The product, theta and triangular leaves of a table term. A product
+    is normalised to its sorted factors, with equal factors merged and zero
+    exponents dropped; monomials and integer scales are no leaves."""
+    kind = term[0]
+    if kind == "prod":
+        merged = Counter()
+        for sign, offset, step, exponent in term[1]:
+            merged[sign, offset, step] += exponent
+        return {("prod", tuple(sorted((*factor, e) for factor, e in merged.items() if e)))}
+    if kind in ("theta", "tri"):
+        return {term}
+    if kind == "mono":
+        return set()
+    assert kind in ("mul", "add", "sub", "scale", "dilate", "extract", "at"), term
+    return set().union(*(_leaves(child) for child in term[1:] if isinstance(child, tuple)))
+
+
+def _shared_leaves(rows):
+    """The rows whose two sides share a leaf, with the leaves they share."""
+    return [(name, _leaves(lhs) & _leaves(rhs)) for name, lhs, rhs in rows if _leaves(lhs) & _leaves(rhs)]
+
+
+class TestIndependence:
+    """No row compares a leaf with itself: the two sides of every proof step
+    and triple product share no product, theta or triangular leaf. A row
+    that did would pass whatever that leaf's expansion gives, and the
+    evaluator's memo hands both sides the very same series."""
+
+    def test_no_row_shares_a_leaf(self):
+        jtp_rows = tuple(verify._jtp_row(k, sign) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1))
+        rows = verify.PROOF_STEPS + jtp_rows
+        assert len(rows) == 29 + 22
+        assert _shared_leaves(rows) == []
+
+    def test_planted_tautologies_are_flagged(self):
+        u = next(lhs for name, lhs, _ in verify.PROOF_STEPS if name == "proof/u-as-odd-square-theta-quotient")
+        planted = [
+            ("u-against-itself-times-one", u, ("mul", ("mono", 1, 0), u)),
+            # the one-sided triangular sum against twice itself
+            ("triangular-doubled", ("tri", False), ("scale", 2, ("tri", False))),
+            # the same product written with its factors split and reordered
+            ("product-refactored", ("prod", ((-1, 1, 1, 1), (1, 1, 1, 1))),
+             ("prod", ((1, 1, 1, 1), (-1, 1, 1, 2), (-1, 1, 1, -1), (-1, 4, 4, 0)))),
+        ]
+        assert [name for name, _ in _shared_leaves(planted)] == [name for name, _, _ in planted]
 
 
 class TestCombinatorialChecks:
