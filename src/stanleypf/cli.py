@@ -8,6 +8,11 @@ Output formats, checked before any series, suite or cache work:
     partition  text, json
     export     text, json, csv, bfile  (text is the b-file)
 
+A verify report's JSON keys and CSV columns are VerificationReport's
+fields, in their order, so a field added there needs no edit here. JSON
+writes an int of 53 bits or more as a decimal string; CSV writes None as
+an empty cell and a bool as true or false.
+
 A partition listing renders the stream of entries that
 partitions._partition_entries makes, each hook row once per suffix of a
 partition, not once per partition; cmd_partition only renders and writes
@@ -228,23 +233,11 @@ def cmd_verify(args, out) -> int:
     )
     passed = all(r.passed for r in reports)
     if args.output_format == "json":
-        doc = {
-            "suite": args.suite,
-            "passed": passed,
-            "reports": [
-                {**r.to_dict(), "lhs_value": _json_coeff(r.lhs_value), "rhs_value": _json_coeff(r.rhs_value)}
-                for r in reports
-            ],
-        }
-        print(json.dumps(doc), file=out)
+        entries = [{k: _json_coeff(v) if isinstance(v, int) else v for k, v in r.to_dict().items()} for r in reports]
+        print(json.dumps({"suite": args.suite, "passed": passed, "reports": entries}), file=out)
     elif args.output_format == "csv":
-        header = ["check_name", "order_or_bound", "passed", "first_failure_index", "lhs_value", "rhs_value"]
-        rows = (
-            [r.check_name, r.order_or_bound, str(r.passed).lower(),
-             *("" if v is None else v for v in (r.first_failure_index, r.lhs_value, r.rhs_value))]
-            for r in reports
-        )
-        out.writelines(_csv_lines(header, rows))
+        rows = (["" if v is None else str(v).lower() if isinstance(v, bool) else v for v in r] for r in reports)
+        out.writelines(_csv_lines(verify.VerificationReport._fields, rows))
     else:
         for r in reports:
             print(r.to_line(), file=out)

@@ -379,8 +379,9 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
     index counted, in decreasing lex order within each n from the empty
     partition, over a second walk up to that n. So every report is what
     that check would give in a sweep of its own. lambda- can come after
-    lambda in the walk, so the even-hook counts of every partition of
-    n < corner_bound are kept and the corners are checked after the walk.
+    lambda in the walk, so the sweep keeps one table, lambda -> (n,
+    lambda', H_e) for every partition of n <= corner_bound, and checks the
+    corners after the walk, reading H_e(lambda-) from that table.
 
     Returns six reports in suite order: hook parity, the corner lemma, the
     three hook-counting identities, conjugation pairing.
@@ -390,8 +391,7 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
     odd_counts = [0] * (enum_bound + 1)  # ... and with oddly many
     # each check's first failure so far, as (n, lam, witnesses)
     parity_failure = corner_failure = pairing_failure = None
-    hooks: dict[tuple[int, ...], int] = {}  # H_e by partition of n < corner_bound, for lambda-minus
-    cornered = []  # (n, lam, lam', H_e) for 1 <= n <= corner_bound
+    kept: dict[tuple[int, ...], tuple] = {}  # lam -> (n, lam', H_e) for n <= corner_bound
     for n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _ in partitions._suffix_walk(top):
         if n <= enum_bound:
             type_mod_4 = (odd_parts - odd_parts_conj) % 4
@@ -409,19 +409,13 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             ):
                 pairing_failure = _earlier(pairing_failure, n, lam, (n, None))
         if n <= corner_bound:
-            if n < corner_bound:
-                hooks[lam] = even_hooks
-            if n:
-                cornered.append((n, lam, conj, even_hooks))
-    for n, lam, conj, even_hooks in cornered:
-        for i, j in inner_corners(lam):
+            kept[lam] = n, conj, even_hooks
+    for lam, (n, conj, even_hooks) in kept.items():
+        for i, j in inner_corners(lam) if n else ():  # the empty partition has none
             # a corner in column 1 is the whole last row
-            removed = lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1]
-            removed_hooks = hooks.get(removed)
+            removed = kept.get(lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1])
             # a lambda-minus the walk never yielded fails the corner
-            if removed_hooks is None or (
-                ((even_hooks - removed_hooks) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0)
-            ):
+            if removed is None or ((even_hooks - removed[2]) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0):
                 corner_failure = _earlier(corner_failure, n, lam, (i, j))
                 break
 
@@ -487,12 +481,12 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
 
     Both even-hook counts are the ones the suffix walk carried over from
     each partition's tail, never made from each other. The walk can meet
-    lambda- after lambda, so the sweep keeps H_e for every partition of
-    n < n_max and checks the corners after the walk; H_e(lambda-) is the
-    count kept for lambda-. A failure records the partition's index from
-    n = 1 and the corner (i, j); a lambda- that the walk never yielded fails
-    at its first lambda. The check is one part of the shared combinatorial
-    sweep.
+    lambda- after lambda, so the sweep keeps one table of (n, lambda', H_e)
+    for every partition of n <= n_max and checks the corners after the
+    walk; H_e(lambda-) is the count kept for lambda-. A failure records the
+    partition's index from n = 1 and the corner (i, j); a lambda- that the
+    walk never yielded fails at its first lambda. The check is one part of
+    the shared combinatorial sweep.
     """
     return _combinatorial_sweep(0, n_max)[1]
 

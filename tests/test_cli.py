@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 
 import pytest
 
@@ -161,6 +162,36 @@ class TestVerifyCommand:
         assert code == 1
         (report,) = json.loads(out)["reports"]
         assert (report["first_failure_index"], report["lhs_value"], report["rhs_value"]) == (3, str(big), -7)
+
+    def test_a_new_report_field_needs_no_cli_edit(self, capsys, monkeypatch):
+        # a report record with one more int field: it is a CSV column and a
+        # JSON key, past 53 bits a decimal string, with nothing named in cli
+        fields = verify.VerificationReport._fields + ("elapsed_ns",)
+
+        class WiderReport(namedtuple("VerificationReport", fields)):
+            to_dict = verify.VerificationReport.to_dict
+            to_line = verify.VerificationReport.to_line
+
+        big = 2**53 + 1
+        reports = [WiderReport("cong/synthetic", 5, True, None, None, None, big),
+                   WiderReport("cong/failing", 5, False, 3, 1, -2, 7)]
+        monkeypatch.setattr(verify, "VerificationReport", WiderReport)
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: reports)
+        code, out, _ = run(capsys, "verify", "--format", "csv")
+        assert code == 1
+        assert out.splitlines() == [
+            "check_name,order_or_bound,passed,first_failure_index,lhs_value,rhs_value,elapsed_ns",
+            f"cong/synthetic,5,true,,,,{big}",
+            "cong/failing,5,false,3,1,-2,7",
+        ]
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 1
+        assert json.loads(out)["reports"] == [
+            {"check_name": "cong/synthetic", "order_or_bound": 5, "passed": True, "first_failure_index": None,
+             "lhs_value": None, "rhs_value": None, "elapsed_ns": str(big)},
+            {"check_name": "cong/failing", "order_or_bound": 5, "passed": False, "first_failure_index": 3,
+             "lhs_value": 1, "rhs_value": -2, "elapsed_ns": 7},
+        ]
 
     def test_internal_identity_failure_exits_one(self, capsys, monkeypatch):
         # one f coefficient off by one makes p + f odd there, so the exact

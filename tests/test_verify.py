@@ -424,6 +424,21 @@ class TestIndependence:
         assert [name for name, _ in _shared_leaves(planted)] == [name for name, _, _ in planted]
 
 
+@pytest.mark.parametrize("n", (8, 100, 1000))
+def test_the_table_closed_forms_are_the_exported_ones(n):
+    # the table and stanley state u, f, p, V and u(4n + 2)'s closed form
+    # apart, and the series suite ties them through the DP only to its
+    # oracle bound
+    progression_two = dict((name, rhs) for name, _, rhs in verify.PROOF_STEPS)["proof/u-progression-two-closed-form"]
+    assert [verify._expand(term, n, {}) for term in (verify._U, verify._F, verify._P, verify._V, progression_two)] == [
+        stanley.u_series(n),
+        stanley.f_series(n),
+        stanley.p_series(n),
+        stanley.v_series(n),
+        stanley.u_progression_series(2, (n - 2) // 4),
+    ]
+
+
 class TestCombinatorialChecks:
     def test_hook_parity(self):
         assert check_hook_parity(12).passed
@@ -932,14 +947,20 @@ class TestCombinatorialWalk:
         assert check_corner_lemma(8) == _report("comb/corner-parity-lemma", 8, 47, 1, 5)
 
 
+def _mutant(module, name, old, new):
+    """module.name compiled, over a copy of the module's globals, with the
+    one occurrence of old in its source replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module).copy(), namespace)
+    return namespace[name]
+
+
 def _mutant_walk(old, new):
     """partitions._suffix_walk compiled with the one occurrence of old in
     its source replaced by new."""
-    source = inspect.getsource(partitions._suffix_walk)
-    assert source.count(old) == 1, old
-    namespace = {}
-    exec(compile(source.replace(old, new), partitions.__file__, "exec"), vars(partitions).copy(), namespace)
-    return namespace["_suffix_walk"]
+    return _mutant(partitions, "_suffix_walk", old, new)
 
 
 class TestSuffixWalkMutations:
@@ -966,6 +987,39 @@ class TestSuffixWalkMutations:
         reports = verify._combinatorial_sweep(12, 8)
         assert reports != _reference_sweep(12, 8)
         assert not all(r.passed for r in reports)
+
+
+class TestHelperMutations:
+    """The helpers beneath the table's leaves and the DP are load-bearing
+    too: a wrong triangular sum, pentagonal expansion or odd-part shift
+    fails some report of a whole run. The one survivor is listed in ROADMAP
+    item 7."""
+
+    @pytest.mark.parametrize("module, name, old, new", [
+        # the n = 1 term at q^2, not q^1
+        (verify, "_triangular", "coeffs[n * (n + 1) // 2] += 1", "coeffs[n * (n + 1) // 2 + (n == 1)] += 1"),
+        # T_{n-1} in place of T_n: the one-sided sum gains a second constant
+        (verify, "_triangular", "if n * (n + 1) // 2 <= order:\n            coeffs[n * (n + 1) // 2]",
+         "if n * (n - 1) // 2 <= order:\n            coeffs[n * (n - 1) // 2]"),
+        # the terms of even k subtracted, as those of odd k are
+        (series_core, "_pentagonal_terms", "sign = -1 if k & 1 else 1", "sign = -1"),
+        # the k(3k+1)/2 term dropped
+        (series_core, "_pentagonal_terms", ", step * k * (3 * k + 1) // 2)", ",)"),
+        # O(lambda) left unchanged by m parts equal to k
+        (stanley, "_odd_count_shift", "shift = m * (k & 1)", "shift = 0"),
+        # the alternating sum for O(lambda') started with the wrong sign
+        (stanley, "_odd_count_shift", "k if c & 1 else -k", "-k if c & 1 else k"),
+    ])
+    def test_mutant_is_caught(self, monkeypatch, module, name, old, new):
+        monkeypatch.setattr(module, name, _mutant(module, name, old, new))
+        assert not all(r.passed for r in verify.run_suite("all", 100, 12, 40))
+
+    def test_the_bilateral_range_one_short_changes_nothing_read(self):
+        # n = -order - 1 adds q^{order (order + 1) / 2}, past the order from
+        # order 2 on, and the table reads _triangular at order >= 8 only
+        short = _mutant(verify, "_triangular", "range(-order - 1 if", "range(-order if")
+        assert all(short(order, True) == verify._triangular(order, True) for order in range(2, 300))
+        assert short(1, True) != verify._triangular(1, True)
 
 
 def _in_process(order, enum_bound, oracle_bound):
