@@ -141,8 +141,6 @@ def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
     """Read one cached column; None on miss. Stale versions never match the
     key, and a corrupt file warns and recomputes rather than answer wrongly."""
     path = _cache_file(cache_dir, stat, order)
-    if not os.path.exists(path):
-        return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -158,6 +156,8 @@ def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
         if len(values) != order + 1:
             raise ValueError("wrong number of coefficients")
         return values
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
         return None
@@ -354,18 +354,18 @@ def cmd_export(args, out) -> int:
 # switch, False unless given.
 COMMON_OPTIONS = (
     ("--order", "order", int, verify.DEFAULT_ORDER, None, False,
-     f"series truncation order (default 200, at most {ORDER_CAP}); at the "
+     f"series truncation order (default %(default)s, at most {ORDER_CAP}); at the "
      "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
      "about 16 s and --suite all about 70 s"),
     ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
-     "exhaustive combinatorial bound (default 25); the pass walks "
+     "exhaustive combinatorial bound (default %(default)s); the pass walks "
      "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
      f"the cap of {ENUM_BOUND_CAP}"),
     ("--oracle-bound", "oracle_bound", int, verify.DEFAULT_ORACLE_BOUND, None, False,
      "bound of the partition-DP cross-check in verify and of "
-     "the brute force in table --oracle (default 60); the DP takes "
+     "the brute force in table --oracle (default %(default)s); the DP takes "
      f"about 0.3 s at 300 and 3 s at verify's cap of {ORACLE_BOUND_CAP}"),
-    ("--format", "output_format", None, "text", FORMATS, False, "output format (default text)"),
+    ("--format", "output_format", None, "text", FORMATS, False, "output format (default %(default)s)"),
     ("--cache", "cache", None, None, None, False, f"coefficient cache directory (or ${CACHE_ENV_VAR})"),
 )
 

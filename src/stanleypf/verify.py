@@ -1,19 +1,19 @@
 """Machine verification of the series identities and hook-statistic theorems.
 
 Each check expands both sides of one identity from primitive constructors
-(products, theta sums) or counts partitions combinatorially, and reports the
-first mismatching index with both witness values. The two sides of a check
-never share a derived intermediate, so a compensating bug in one pipeline
-cannot hide.
+(products, theta sums) and ``stanley``'s exported series, or counts
+partitions combinatorially, and reports the first mismatching index with
+both witness values. The two sides of a check never share a derived
+intermediate, so a compensating bug in one pipeline cannot hide.
 
 The proof steps and the triple-product family are data: rows of (check
 name, lhs term, rhs term), in ``PROOF_STEPS`` and made by ``_jtp_row`` from
-(k, sign). A term is a small tuple tree over primitive expansions, with its
-grammar given above ``PROOF_STEPS``. One evaluator, ``_expand``, reads it
+(k, sign). A term is a small tuple tree, with its grammar given above
+``PROOF_STEPS``; its closed forms under proof are read from ``stanley``,
+and every other leaf is a primitive. One evaluator, ``_expand``, reads it
 through a memo that lives for one list of rows, so a leaf or node that
-several rows read is built once per order. The rule above is checked on the
-table by a test: no row has the same product, theta or triangular leaf on
-both sides.
+several rows read is built once per order. A test checks the rule above on
+the table, resolving each exported leaf to the products it expands.
 
 The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
@@ -129,6 +129,7 @@ def _triangular(order: int, bilateral: bool) -> TruncatedSeries:
 # A row is (check name, lhs term, rhs term); both sides are expanded to the
 # order n the row is checked at and compared by assert_series_equal. A term
 # is a tuple tree read by _expand. Its leaves are
+#   ("export", name, *args)      getattr(stanley, name)(*args, n)
 #   ("prod", factors)            expand_product(ProductSpec(factors), n)
 #   ("theta", a, b, c, alt)      expand_theta(ThetaSpec(a, b, c, alt), n)
 #   ("tri", bilateral)           _triangular(n, bilateral)
@@ -138,13 +139,13 @@ def _triangular(order: int, bilateral: bool) -> TruncatedSeries:
 #   ("dilate", m, x)             x(q^m), order m times x's
 #   ("extract", r, m, x)         the coefficients of x at r, r + m, r + 2m, ...
 #   ("at", r, m, x)              x read at order (n - r) // m
-# whose children are read at n unless the node says otherwise.
+# whose children are read at n unless the node says otherwise. The closed
+# forms under proof are "export" leaves; every other leaf is a primitive.
 
-_U = ("mul", ("mono", 2, 2), (
-    "prod", ((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 32, 32, 2), (-1, 1, 1, -1), (-1, 4, 4, -5), (-1, 16, 16, -1))
-))  # u's closed form 2 q^2 (q^2)^2 (q^8)^2 (q^32)^2 / ( (q) (q^4)^5 (q^16) )
-_P = ("prod", ((-1, 1, 1, -1),))  # 1/(q; q)
-_F = ("prod", ((1, 1, 2, 1), (-1, 4, 4, -1), (1, 2, 4, -2)))
+_U = ("export", "u_series")
+_P = ("export", "p_series")
+_F = ("export", "f_series")
+_V = ("export", "v_series")
 # p's odd/even split: (-q; q^2) / ( (q^4; q^4) (q^2; q^4)^2 )
 _P_SPLIT = ("prod", ((1, 1, 2, 1), (-1, 4, 4, -1), (-1, 2, 4, -2)))
 # the common denominator of the two half quotients
@@ -154,7 +155,6 @@ _THETA_PLUS_PRODUCT = ("prod", ((-1, 4, 4, 1), (1, 2, 4, 2)))
 _THETA_ALT_PRODUCT = ("prod", ((-1, 4, 4, 1), (-1, 2, 4, 2)))
 _NEG_SIXTEEN = ("prod", ((1, 16, 16, 1),))  # (-q^16; q^16)
 _EVEN_ETA_OVER_ETA = ("prod", ((-1, 2, 2, 2), (-1, 1, 1, -1)))  # (q^2)^2 / (q)
-_V = ("prod", ((-1, 2, 2, 2), (-1, 8, 8, 2), (-1, 1, 1, -5), (-1, 4, 4, -1)))
 _V_Q4 = ("dilate", 4, ("at", -3, 4, _V))  # V(q) read at ceil(n / 4), so V(q^4) covers n
 _THETA_PLUS = ("theta", 2, 0, 0, False)
 _THETA_ALT = ("theta", 2, 0, 0, True)
@@ -235,7 +235,7 @@ PROOF_STEPS = (
      ("prod", ((-1, 64, 64, 1), (1, 28, 64, 1), (1, 36, 64, 1)))),
     # the simplified u(4n+2) progression in the q variable
     ("proof/u-progression-two-closed-form", ("extract", 2, 4, _U),
-     ("scale", 2, ("at", 2, 4, ("mul", ("prod", ((-1, 16, 16, 1), (1, 7, 16, 1), (1, 9, 16, 1))), _V)))),
+     ("at", 2, 4, ("export", "u_progression_series", 2))),
 )
 
 
@@ -251,15 +251,16 @@ def _jtp_row(k: int, sign: int) -> tuple:
 
 def _expand(term: tuple, n: int, memo: dict) -> TruncatedSeries:
     """The series a term denotes, to order n, kept in memo by order if memo
-    has a slot for the term. The primitive constructors are looked up as
-    module globals at each call, so a wrapper bound over one of them sees
-    every expansion.
-    """
+    has a slot for the term. Constructors are module globals looked up at
+    each call, here and for an exported leaf in ``stanley`` and
+    ``series_core``: a wrapper bound in all three sees every expansion."""
     built = memo.get(term)
     if built is not None and n in built:
         return built[n]
     kind = term[0]
-    if kind == "prod":
+    if kind == "export":
+        series = getattr(stanley, term[1])(*term[2:], n)
+    elif kind == "prod":
         series = expand_product(ProductSpec(term[1]), n)
     elif kind == "theta":
         series = expand_theta(ThetaSpec(*term[1:]), n)
@@ -337,15 +338,14 @@ def _check_proof_order(order: int) -> None:
 def check_proof_steps(order: int) -> list[VerificationReport]:
     """Verify every displayed rewriting used to derive the u(n) closed forms.
 
-    Each step is one row of PROOF_STEPS, and both of its sides are terms
-    over primitive expansions, never over the higher-level series under
-    test. The rows are read through one memo, so a product, theta sum or
-    node that several steps read is built once per order. That sharing is
-    safe because no row has a product, theta or triangular leaf on both of
-    its sides; a test checks the table for that. Requires order >= 8 so
-    every step has nontrivial content, and order <= MAX_DILATION_ORDER so
-    the dilation of V(q) to V(q^4) stays within series_dilate's cap. Both
-    are checked before anything is expanded.
+    Each step is one row of PROOF_STEPS. Its closed forms under proof are
+    read from ``stanley``, so the chain checks what ``export`` prints, and
+    every other leaf is a primitive. The rows are read through one memo, so
+    a leaf or node that several steps read is built once per order. That is
+    safe because no row has a product, theta or triangular leaf on both
+    sides, exported leaves resolved; a test checks that. Order must be >= 8
+    so every step has nontrivial content, and <= MAX_DILATION_ORDER so V(q^4)
+    stays within series_dilate's cap; both are checked before any expansion.
     """
     _check_proof_order(order)
     return _check_rows(PROOF_STEPS, order)

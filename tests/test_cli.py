@@ -486,6 +486,19 @@ class TestCache:
     def test_miss(self, tmp_path):
         assert cache_load(str(tmp_path), "t", 10) is None
 
+    def test_file_gone_before_it_is_read_is_a_miss(self, tmp_path, capsys, monkeypatch):
+        # another run may remove the entry between a check and the read;
+        # that is a miss, not a corrupt file
+        path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
+
+        def vanished(file, *args, **kwargs):
+            raise FileNotFoundError(file)
+
+        monkeypatch.setattr(cli, "open", vanished, raising=False)
+        assert os.path.exists(path)
+        assert cache_load(str(tmp_path), "t", 4) is None
+        assert capsys.readouterr() == ("", "")
+
     def test_corrupt_file_warns_and_recomputes(self, tmp_path, capsys):
         path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
         with open(path, "w") as fh:

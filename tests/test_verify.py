@@ -84,6 +84,15 @@ class TestJacobiTripleProduct:
             check_jtp(1, 0, 10)
 
 
+def _bind(monkeypatch, name, wrapper):
+    """Bind wrapper over the constructor name wherever the proof steps reach
+    it: in verify for the primitive leaves, and in stanley and series_core
+    for the exported closed forms, as perfbench/tracer.py binds its spans."""
+    for module in (verify, stanley, series_core):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, wrapper)
+
+
 class TestProofSteps:
     def test_all_pass_at_moderate_order(self):
         reports = check_proof_steps(60)
@@ -117,7 +126,7 @@ class TestProofSteps:
         def sentinel(*args, **kwargs):
             raise Expanded
 
-        monkeypatch.setattr(verify, "expand_product", sentinel)
+        _bind(monkeypatch, "expand_product", sentinel)
         with pytest.raises(Expanded):
             check_proof_steps(series_core.MAX_DILATION_ORDER)
 
@@ -151,7 +160,7 @@ class TestProofSteps:
                 built.append((name, *args))
                 return real(*args)
 
-            monkeypatch.setattr(verify, name, expand)
+            _bind(monkeypatch, name, expand)
 
         for name in ("expand_product", "expand_theta", "_triangular"):
             counted(name)
@@ -221,30 +230,34 @@ def test_planted_leaf_gives_the_pinned_failing_reports(monkeypatch, leaf, index,
 
         return expand
 
-    monkeypatch.setattr(verify, "expand_product", planted(verify.expand_product))
-    monkeypatch.setattr(verify, "expand_theta", planted(verify.expand_theta))
+    _bind(monkeypatch, "expand_product", planted(verify.expand_product))
+    _bind(monkeypatch, "expand_theta", planted(verify.expand_theta))
     reports = check_proof_steps(100) + [
         check_jtp(k, sign, 100) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1)
     ]
     assert [tuple(r) for r in reports if not r.passed] == failures
 
 
-def _proof_step_leaves(name, order):
-    """The (order, spec) of every call check_proof_steps makes to
-    ``verify.<name>``, in call order; each is one distinct leaf."""
+def _recorded_calls(name, run):
+    """The (order, spec) of every call run() makes to the constructor
+    ``name`` of series_core, in call order."""
     calls = []
-    real = getattr(verify, name)
+    real = getattr(series_core, name)
 
     def recording(spec, n):
         calls.append((n, spec))
         return real(spec, n)
 
-    setattr(verify, name, recording)
-    try:
-        check_proof_steps(order)
-    finally:
-        setattr(verify, name, real)
+    with pytest.MonkeyPatch.context() as m:
+        _bind(m, name, recording)
+        run()
     return calls
+
+
+def _proof_step_leaves(name, order):
+    """The (order, spec) of every call check_proof_steps makes to the
+    constructor ``name``, in call order; each is one distinct leaf."""
+    return _recorded_calls(name, lambda: check_proof_steps(order))
 
 
 class TestProofStepMutations:
@@ -276,7 +289,7 @@ class TestProofStepMutations:
                 def mutant(spec, n, mutated=mutated, target=target):
                     return real(mutated if (n, spec) == target else spec, n)
 
-                monkeypatch.setattr(verify, "expand_product", mutant)
+                _bind(monkeypatch, "expand_product", mutant)
                 try:
                     reports = check_proof_steps(self.ORDER)
                 except ValueError:
@@ -303,7 +316,7 @@ class TestProofStepThetaMutations:
                 def mutant(spec, n, mutated=mutated, target=target):
                     return real(mutated if spec == target else spec, n)
 
-                monkeypatch.setattr(verify, "expand_theta", mutant)
+                _bind(monkeypatch, "expand_theta", mutant)
                 mutants += 1
                 if all(r.passed for r in check_proof_steps(self.ORDER)):
                     missed.append(mutated)
@@ -335,7 +348,8 @@ def _closed_form_mutations():
 
 class TestClosedFormMutations:
     """Every factor of every closed form must matter: one more power of any
-    one factor must fail some series check."""
+    one factor must fail some series check, and some proof step where the
+    proof steps read that closed form."""
 
     def test_one_more_power_of_any_factor_is_caught(self, monkeypatch):
         mutations = list(_closed_form_mutations())
@@ -347,6 +361,22 @@ class TestClosedFormMutations:
                     missed.append((name, mutated))
         assert len(mutations) == 18 + 12
         assert missed == []
+
+    def test_the_proof_steps_catch_each_closed_form_they_read(self, monkeypatch):
+        # the proof steps read u, f, V and the u(4n + 2) series from stanley
+        caught, missed = Counter(), Counter()
+        for name, mutated in _closed_form_mutations():
+            target = name
+            if name == "_U_PROGRESSION":  # named by the progression it changes
+                (i,) = [i for i, entry in mutated.items() if entry != stanley._U_PROGRESSION[i]]
+                target = f"{name}[{i}]"
+            with monkeypatch.context() as m:
+                m.setattr(stanley, name, mutated)
+                reports = check_proof_steps(100)
+            (missed if all(r.passed for r in reports) else caught)[target] += 1
+        assert caught == {"_U_ETA_TERMS": 6, "_V_ETA_TERMS": 4, "_F_SPEC": 3, "_U_PROGRESSION[2]": 3}
+        # Andrews' t quotient and the other progressions are no step of the chain
+        assert missed == {"_T_ETA_TERMS": 5, "_U_PROGRESSION[0]": 3, "_U_PROGRESSION[1]": 3, "_U_PROGRESSION[3]": 3}
 
 
 class TestTripleProductMutations:
@@ -376,16 +406,30 @@ class TestTripleProductMutations:
         assert missed == []
 
 
+def _product_leaf(factors):
+    """A product normalised to its sorted factors, with equal factors merged
+    and zero exponents dropped."""
+    merged = Counter()
+    for sign, offset, step, exponent in factors:
+        merged[sign, offset, step] += exponent
+    return ("prod", tuple(sorted((*factor, e) for factor, e in merged.items() if e)))
+
+
+def _exported_leaves(name, *args):
+    """The product leaves that stanley.<name> expands, recorded at order 8."""
+    calls = _recorded_calls("expand_product", lambda: getattr(stanley, name)(*args, 8))
+    return {_product_leaf(spec.factors) for _, spec in calls}
+
+
 def _leaves(term):
-    """The product, theta and triangular leaves of a table term. A product
-    is normalised to its sorted factors, with equal factors merged and zero
-    exponents dropped; monomials and integer scales are no leaves."""
+    """The product, theta and triangular leaves of a table term. An exported
+    leaf stands for the products its function expands; monomials and
+    integer scales are no leaves."""
     kind = term[0]
+    if kind == "export":
+        return _exported_leaves(*term[1:])
     if kind == "prod":
-        merged = Counter()
-        for sign, offset, step, exponent in term[1]:
-            merged[sign, offset, step] += exponent
-        return {("prod", tuple(sorted((*factor, e) for factor, e in merged.items() if e)))}
+        return {_product_leaf(term[1])}
     if kind in ("theta", "tri"):
         return {term}
     if kind == "mono":
@@ -399,22 +443,44 @@ def _shared_leaves(rows):
     return [(name, _leaves(lhs) & _leaves(rhs)) for name, lhs, rhs in rows if _leaves(lhs) & _leaves(rhs)]
 
 
+def _normalised(term):
+    """A term with each product's factors merged and sorted."""
+    if term[0] == "prod":
+        return _product_leaf(term[1])
+    return tuple(_normalised(child) if isinstance(child, tuple) else child for child in term)
+
+
+def _restated_identities(rows):
+    """The names of the rows that state one identity, grouped in row order;
+    a row's two normalised sides are taken unordered."""
+    groups = {}
+    for name, lhs, rhs in rows:
+        groups.setdefault(frozenset((_normalised(lhs), _normalised(rhs))), []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
 class TestIndependence:
     """No row compares a leaf with itself: the two sides of every proof step
     and triple product share no product, theta or triangular leaf. A row
     that did would pass whatever that leaf's expansion gives, and the
     evaluator's memo hands both sides the very same series."""
 
+    ROWS = verify.PROOF_STEPS + tuple(
+        verify._jtp_row(k, sign) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1)
+    )
+
     def test_no_row_shares_a_leaf(self):
-        jtp_rows = tuple(verify._jtp_row(k, sign) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1))
-        rows = verify.PROOF_STEPS + jtp_rows
-        assert len(rows) == 29 + 22
-        assert _shared_leaves(rows) == []
+        assert len(self.ROWS) == 29 + 22
+        assert _shared_leaves(self.ROWS) == []
 
     def test_planted_tautologies_are_flagged(self):
         u = next(lhs for name, lhs, _ in verify.PROOF_STEPS if name == "proof/u-as-odd-square-theta-quotient")
         planted = [
             ("u-against-itself-times-one", u, ("mul", ("mono", 1, 0), u)),
+            # u's exported closed form against its eta quotient written out
+            ("u-against-its-product", u, ("mul", ("mono", 2, 2), (
+                "prod", tuple((-1, a, a, e) for a, e in reversed(stanley._U_ETA_TERMS))
+            ))),
             # the one-sided triangular sum against twice itself
             ("triangular-doubled", ("tri", False), ("scale", 2, ("tri", False))),
             # the same product written with its factors split and reordered
@@ -423,20 +489,25 @@ class TestIndependence:
         ]
         assert [name for name, _ in _shared_leaves(planted)] == [name for name, _, _ in planted]
 
-
-@pytest.mark.parametrize("n", (8, 100, 1000))
-def test_the_table_closed_forms_are_the_exported_ones(n):
-    # the table and stanley state u, f, p, V and u(4n + 2)'s closed form
-    # apart, and the series suite ties them through the DP only to its
-    # oracle bound
-    progression_two = dict((name, rhs) for name, _, rhs in verify.PROOF_STEPS)["proof/u-progression-two-closed-form"]
-    assert [verify._expand(term, n, {}) for term in (verify._U, verify._F, verify._P, verify._V, progression_two)] == [
-        stanley.u_series(n),
-        stanley.f_series(n),
-        stanley.p_series(n),
-        stanley.v_series(n),
-        stanley.u_progression_series(2, (n - 2) // 4),
+    # each pair states one identity; dropping one row of a pair moves pinned
+    # report bytes, so both stay until the benchmark's digests are re-recorded
+    RESTATED = [
+        ["proof/theta-even-squares-plus", "series/jtp-k00-plus"],
+        ["proof/theta-even-squares-alternating", "series/jtp-k00-minus"],
     ]
+
+    def test_only_the_known_identities_are_stated_twice(self):
+        assert _restated_identities(self.ROWS) == self.RESTATED
+
+    def test_a_planted_restatement_is_flagged(self):
+        # a proof step with its sides swapped and a product's factors split
+        # and reordered
+        planted = (
+            "planted", ("prod", ((-1, 8, 8, -1), (-1, 4, 4, 2), (-1, 4, 4, -1))), ("prod", ((-1, 4, 8, 1),))
+        )
+        assert _restated_identities(self.ROWS + (planted,)) == [
+            *self.RESTATED, ["proof/four-mod-eight-eta-ratio", "planted"]
+        ]
 
 
 class TestCombinatorialChecks:
