@@ -355,8 +355,8 @@ def cmd_export(args, out) -> int:
 COMMON_OPTIONS = (
     ("--order", "order", int, verify.DEFAULT_ORDER, None, False,
      f"series truncation order (default %(default)s, at most {ORDER_CAP}); at the "
-     "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
-     "about 16 s and --suite all about 70 s"),
+     "cap, a table of p,t,u,f takes about 1 s, verify --suite series "
+     "about 2 s and --suite all about 7 s"),
     ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
      "exhaustive combinatorial bound (default %(default)s); the pass walks "
      "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "

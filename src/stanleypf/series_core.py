@@ -10,12 +10,27 @@ partition-theoretic work: q-Pochhammer products (``expand_product``),
 eta-quotients (``eta_quotient``, one ``expand_product`` call), and
 bilateral theta sums over a quadratic exponent (``expand_theta``).
 
-``expand_product`` has two paths, chosen by each factor's shape. An eta
-factor (q^a; q^a)^e is applied as its sparse pentagonal series |e| times,
-O(n sqrt(n/a)) to order n. Every other factor (q^offset; q^step)^e is
-applied one binomial at a time, O(n^2/step) for each unit of |e|.
+``expand_product`` applies each factor by one of three identities, chosen
+by the factor's shape. An eta factor (q^a; q^a)^e is Euler's pentagonal
+series, sparse, applied |e| times: O(n sqrt(n/a)) to order n. Any other
+factor (+/-q^offset; q^step)^e is a q-hypergeometric sum, applied by
+Horner's rule: Euler's sum (-x; Q) = sum_n x^n Q^(n(n-1)/2) / (Q; Q)_n when
+e > 0, and the Durfee-square form of Cauchy's identity 1/(z; Q) = sum_n
+z^n Q^(n^2-n) / ((Q; Q)_n (z; Q)_n) when e < 0, with Q = q^step. That is
+about sqrt(2n/step) or 2 sqrt(n/step) binomial divisions per unit of |e|,
+O(n) each. A sublattice rule runs every factor at the coarsest grid it
+allows: a product of factors on the multiples of g is kept as a series in
+q^g, so each of its factors runs at order n/g.
 
-The dense passes, each binomial and each row of a Cauchy product
+No identity check in ``verify`` becomes tautological under these: no row
+compares a product with a q-hypergeometric sum, so no row's two sides
+reduce to the sum the kernel uses. Where both sides are products, they
+run through different sums. ``proof/euler-odd-distinct`` compares
+1/(q; q^2), Cauchy's sum in base q^2, with (-q; q), Euler's sum in base
+q; ``proof/neg-one-pochhammer-doubling`` compares Euler's sum at x = 1
+with twice the one at x = q^16.
+
+The dense passes, each binomial division and each row of a Cauchy product
 (``series_mul``), run as whole-slice ``operator`` maps, so their
 per-coefficient loops run in C. They add zero coefficients too, where a
 Python loop would skip them; what is left of their cost is big-integer
@@ -31,7 +46,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, mul, sub
 
 #: Dilations may not push a series beyond this order; raising instead of
@@ -219,12 +234,6 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(r))
 
 
-def _mul_binomial(c: list[int], k: int, sign: int) -> None:
-    # c *= (1 + sign*q^k), in place; both slices are read before the
-    # assignment, so every c[i-k] is the old value
-    c[k:] = map(add if sign > 0 else sub, c[k:], c[: len(c) - k])
-
-
 def _div_binomial(c: list[int], k: int, sign: int) -> None:
     # c /= (1 + sign*q^k), in place, one block of length k at a time: each
     # block reads the block below it, which is already the quotient; the
@@ -232,6 +241,42 @@ def _div_binomial(c: list[int], k: int, sign: int) -> None:
     op = sub if sign > 0 else add
     for i in range(k, len(c), k):
         c[i : i + k] = map(op, c[i : i + k], c[i - k : i])
+
+
+def _horner(c: list[int], sign: int, offset: int, step: int, cauchy: bool) -> None:
+    """Multiply c in place by F = prod_k (1 + sign*q^(offset + step*k)) by
+    Euler's sum, or with cauchy=True divide it by F by Cauchy's; Q = q^step.
+
+    Euler:  F = (-x; Q) = sum_n x^n Q^(n(n-1)/2) / (Q; Q)_n,           x = sign*q^offset
+    Cauchy: 1/F = 1/(z; Q) = sum_n z^n Q^(n^2-n) / ((Q; Q)_n (z; Q)_n),  z = -sign*q^offset
+
+    Term n is term n - 1 times +/-q^shift_n / d_n, with the sign of x or
+    z, shift_n = offset + step(n-1) (Euler) or offset + 2 step(n-1)
+    (Cauchy), and d_n = 1 - Q^n, times 1 - z Q^(n-1) for Cauchy. Horner's
+    rule runs from the last term M down: R_M = c, R_(n-1) = c +/- q^shift_n
+    R_n / d_n, and R_0 is the result. R_n reaches R_0 only from q^(shift_1
+    + ... + shift_n) on, so it is kept only to the order less that sum,
+    and M is the last n for which that sum is within the order.
+    """
+    shifts = []
+    reach = len(c) - 1
+    shift = offset
+    while shift <= reach:
+        shifts.append(shift)
+        reach -= shift
+        shift += 2 * step if cauchy else step
+    op = add if (sign > 0) != cauchy else sub
+    r = c[: reach + 1]
+    for n in range(len(shifts), 0, -1):
+        _div_binomial(r, step * n, -1)
+        if cauchy:
+            _div_binomial(r, offset + step * (n - 1), sign)
+        shift = shifts[n - 1]
+        reach += shift
+        below = c[: reach + 1]
+        below[shift:] = map(op, below[shift:], r)
+        r = below
+    c[:] = r
 
 
 def _pentagonal_terms(step: int, order: int) -> list[tuple[int, int]]:
@@ -277,45 +322,61 @@ def _div_sparse(c: list[int], terms: list[tuple[int, int]]) -> None:
 def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Expand a q-Pochhammer product exactly to the given order.
 
-    An eta factor, sign -1 with offset == step, is (q^a; q^a)^e with a =
-    step. It is applied as the sparse series of (q^a; q^a), which has
-    O(sqrt(order/a)) terms by Euler's pentagonal number theorem, |e| times:
-    O(order sqrt(order/a)) per unit of |e|. Every other factor is applied
-    one binomial (1 + sign*q^k) at a time, O(order) each, so O(order^2/step)
-    per unit of |e|. A binomial multiplies in as one slice map over the
-    list and divides out as about order/k slice maps of length k, each
-    reading the block below it. Binomials and terms whose exponent exceeds
-    the order contribute nothing and are skipped. Negative factor exponents
-    divide instead of multiplying, which stays in integer arithmetic
-    because every admissible factor has constant term 1. The offset-0
-    factor (-1; q^step) contributes the constant 2.
+    Each factor, prod_k (1 + sign*q^(offset + step*k)) to the power e, is
+    applied |e| times to one running coefficient list, by one of three
+    identities:
+
+    * an eta factor, sign -1 with offset == step, by Euler's pentagonal
+      number theorem: (q^a; q^a) has O(sqrt(order/a)) terms, multiplied in
+      or divided out as one sparse series, O(order sqrt(order/a));
+    * any other factor with e > 0 by Euler's sum (-x; Q) = sum_n x^n
+      Q^(n(n-1)/2) / (Q; Q)_n, x = sign*q^offset, Q = q^step: about
+      sqrt(2 order/step) block-wise binomial divisions (``_horner``); the
+      offset-0 factor (-1; Q) is the sum at x = 1 and contributes its 2;
+    * any other factor with e < 0 by the Durfee-square form of Cauchy's
+      identity, 1/(z; Q) = sum_n z^n Q^(n^2-n) / ((Q; Q)_n (z; Q)_n), z =
+      -sign*q^offset: about 2 sqrt(order/step) divisions.
+
+    Every division is by a binomial with constant term 1, so all of it
+    stays in integer arithmetic. A factor whose exponent is 0 or whose
+    first term lies above the order is the unit and is skipped.
+
+    Sublattice rule: a factor lives on the multiples of g = gcd(offset,
+    step). Factors run largest g first, on a list that holds only the
+    coefficients at multiples of the running grid, so (q^4; q^4)^-5 runs
+    at order order/4. The grid is refined to gcd(grid, g) only when a
+    factor needs it, by spreading the list out, and the list is dilated to
+    the full order once at the end. Exact arithmetic makes the result
+    independent of the order the factors run in.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     spec.validate()
-    c = [0] * (order + 1)
+    factors = sorted(
+        (f for f in spec.factors if f[3] and f[1] <= order), key=lambda f: gcd(f[1], f[2]), reverse=True
+    )
+    grid = gcd(factors[0][1], factors[0][2]) if factors else 1
+    c = [0] * (order // grid + 1)
     c[0] = 1
-    for sign, offset, step, exponent in spec.factors:
-        if exponent == 0:
-            continue
+    for sign, offset, step, exponent in factors:
+        fine = gcd(grid, offset, step)
+        if fine != grid:
+            finer = [0] * (order // fine + 1)
+            finer[:: grid // fine] = c
+            c, grid = finer, fine
+        offset //= grid
+        step //= grid
         if sign == -1 and offset == step:
-            terms = _pentagonal_terms(step, order)
+            terms = _pentagonal_terms(step, len(c) - 1)
             apply_sparse = _mul_sparse if exponent > 0 else _div_sparse
             for _ in range(abs(exponent)):
                 apply_sparse(c, terms)
-            continue
-        start = offset
-        if offset == 0:
-            # (1 + q^0)^e = 2^e; the rest of the factor starts at q^step
-            scale = 2 ** exponent
-            for i in range(order + 1):
-                c[i] *= scale
-            start = step
-        apply = _mul_binomial if exponent > 0 else _div_binomial
-        for k in range(start, order + 1, step):
+        else:
             for _ in range(abs(exponent)):
-                apply(c, k, sign)
-    return TruncatedSeries(tuple(c))
+                _horner(c, sign, offset, step, exponent < 0)
+    out = [0] * (order + 1)
+    out[::grid] = c
+    return TruncatedSeries(out)
 
 
 def expand_theta(spec: ThetaSpec, order: int) -> TruncatedSeries:

@@ -41,8 +41,8 @@ def reference_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=verify.DEFAULT_ORDER,
                         help=f"series truncation order (default 200, at most {ORDER_CAP}); at the "
-                             "cap, a table of p,t,u,f takes about 6 s, verify --suite series "
-                             "about 16 s and --suite all about 70 s")
+                             "cap, a table of p,t,u,f takes about 1 s, verify --suite series "
+                             "about 2 s and --suite all about 7 s")
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25); the pass walks "
                              "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "

@@ -7,6 +7,7 @@ from stanleypf.series_core import (
     ProductSpec,
     ThetaSpec,
     TruncatedSeries,
+    _div_binomial,
     eta_quotient,
     expand_product,
     expand_theta,
@@ -248,8 +249,9 @@ class TestEtaQuotientFold:
 
 
 def _dense_product(factors, order):
-    # the product kernel without its sparse path: every factor, eta factors
-    # included, applied one binomial (1 + sign*q^k) at a time
+    # the product kernel without its identities or its grid: every factor,
+    # eta factors included, applied one binomial (1 + sign*q^k) at a time
+    # at the full order
     c = [0] * (order + 1)
     c[0] = 1
     for sign, offset, step, exponent in factors:
@@ -318,21 +320,71 @@ class TestSparseEtaPath:
 
 
 class TestBinomialPasses:
-    """expand_product's slice-map binomial passes equal the per-element loops
-    of _dense_product, at the edges of the block-wise division."""
+    """_div_binomial's block-wise division, the one binomial pass left in
+    the kernel, equals the per-element loop of _dense_product at the edges of
+    its blocks."""
 
     @pytest.mark.parametrize("sign", (1, -1))
-    @pytest.mark.parametrize("exponent", (-3, 3))
+    @pytest.mark.parametrize("times", (1, 3))
     @pytest.mark.parametrize("k", (1, 2, 3))
     @pytest.mark.parametrize("blocks", (1, 2, 5))
     @pytest.mark.parametrize("below", (0, 1))
-    def test_one_binomial(self, sign, exponent, k, blocks, below):
-        # (1 + sign*q^k)^exponent alone (its step lies above the order), after
-        # 1/(q; q) has made every coefficient nonzero. Order blocks*k ends the
-        # division on a block of length 1; order blocks*k - 1 ends it on a
-        # full block, and with one block the offset k lies above the order.
+    def test_one_binomial(self, sign, times, k, blocks, below):
+        # 1/(q; q), whose every coefficient is nonzero, divided by (1 +
+        # sign*q^k)^times. Order blocks*k ends the division on a block of
+        # length 1; order blocks*k - 1 ends it on a full block, and with one
+        # block k lies above the order and nothing is divided.
         order = blocks * k - below
-        factors = ((-1, 1, 1, -1), (sign, k, order + 1, exponent))
+        c = list(expand_product(ProductSpec(((-1, 1, 1, -1),)), order).coeffs)
+        for _ in range(times):
+            _div_binomial(c, k, sign)
+        # a factor whose step lies above the order is the one binomial
+        assert tuple(c) == _dense_product(((-1, 1, 1, -1), (sign, k, order + 1, -times)), order)
+
+
+class TestHornerSums:
+    """expand_product's Euler and Cauchy sums and its sublattice rule equal
+    the dense binomial passes of _dense_product, at the edges of Horner's
+    rule and of the grid."""
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("exponent", (-2, -1, 1, 2))
+    @pytest.mark.parametrize("offset, step", ((1, 2), (2, 1), (2, 3), (3, 2), (5, 1)))
+    @pytest.mark.parametrize("terms", (1, 2, 4))
+    @pytest.mark.parametrize("below", (0, 1))
+    def test_order_on_the_last_term(self, sign, exponent, offset, step, terms, below):
+        # term M of Euler's sum (e > 0) starts at q^(a M + b M(M-1)/2) and
+        # term M of Cauchy's (e < 0) at q^(a M + b M(M-1)): at that order
+        # the term is the last one read, one below it the one before is.
+        # 1/(q; q) runs first on the same grid, so no coefficient is zero.
+        last = offset * terms + step * terms * (terms - 1) // (2 if exponent > 0 else 1)
+        order = last - below
+        factors = ((-1, 1, 1, -1), (sign, offset, step, exponent))
+        assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("factors", (
+        # steps 6 and 4: grid 6, refined to 2
+        ((-1, 6, 6, -2), (1, 2, 4, 1)),
+        ((1, 6, 12, 1), (-1, 4, 4, -1), (1, 2, 4, -2)),
+        # steps 3 and 4: grid 4, refined to 1
+        ((1, 3, 3, 1), (-1, 4, 4, -1)),
+        ((-1, 3, 6, -1), (1, 4, 8, 2)),
+        # offset-0 factors on a lattice: grid 6 refined to 2, grid 5 kept
+        ((1, 0, 6, 2), (-1, 4, 4, -1), (1, 2, 4, 1)),
+        ((1, 0, 5, 1), (1, 5, 10, -1), (-1, 5, 5, 1)),
+    ))
+    @pytest.mark.parametrize("order", (0, 1, 5, 24, 61))
+    def test_lattices(self, factors, order):
+        assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
+
+    @pytest.mark.parametrize("factors", (
+        ((-1, 8, 8, -3),),
+        ((1, 0, 12, 2), (-1, 8, 8, 1)),
+        ((1, 9, 18, -2), (1, 0, 9, 1)),
+    ))
+    @pytest.mark.parametrize("order", (0, 1, 5))
+    def test_grid_above_the_order(self, factors, order):
+        # one coefficient on the grid: the constant term, 1 or a power of 2
         assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
 
     @pytest.mark.parametrize("sign", (1, -1))
@@ -341,8 +393,8 @@ class TestBinomialPasses:
     @pytest.mark.parametrize("order", (0, 1, 2, 12, 13, 40))
     def test_whole_factor(self, sign, exponent, offset, step, order):
         # at sign -1, (1, 1) and (2, 2) are eta factors and take the sparse
-        # path; every other factor takes the binomial passes, whose first
-        # division blocks have length offset
+        # path; every other factor takes Euler's or Cauchy's sum, (2, 2) on
+        # the grid of even exponents until (-q; q^3)^2 refines it
         factors = ((1, 1, 3, 2), (sign, offset, step, exponent))
         assert expand_product(ProductSpec(factors), order).coeffs == _dense_product(factors, order)
 
@@ -350,7 +402,8 @@ class TestBinomialPasses:
     @pytest.mark.parametrize("doubling", (1, 2))
     @pytest.mark.parametrize("sign", (1, -1))
     def test_constant_two_factor(self, step, doubling, sign):
-        # (-1; q^m)^e = 2^e (-q^m; q^m)^e scales what the division then reads
+        # (-1; q^m)^e is Euler's sum at x = 1, whose terms n = 0 and 1 both
+        # start at q^0 and give the constant 2^e
         factors = ((1, 0, step, doubling), (sign, 2, 3, -3))
         assert expand_product(ProductSpec(factors), 30).coeffs == _dense_product(factors, 30)
 

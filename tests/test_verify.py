@@ -1062,9 +1062,9 @@ class TestSuffixWalkMutations:
 
 class TestHelperMutations:
     """The helpers beneath the table's leaves and the DP are load-bearing
-    too: a wrong triangular sum, pentagonal expansion or odd-part shift
-    fails some report of a whole run. The one survivor is listed in ROADMAP
-    item 7."""
+    too: a wrong triangular sum, pentagonal expansion, Euler or Cauchy sum,
+    grid refinement or odd-part shift fails some report of a whole run. The
+    two survivors are listed in ROADMAP item 7."""
 
     @pytest.mark.parametrize("module, name, old, new", [
         # the n = 1 term at q^2, not q^1
@@ -1076,13 +1076,21 @@ class TestHelperMutations:
         (series_core, "_pentagonal_terms", "sign = -1 if k & 1 else 1", "sign = -1"),
         # the k(3k+1)/2 term dropped
         (series_core, "_pentagonal_terms", ", step * k * (3 * k + 1) // 2)", ",)"),
+        # Horner's rule one term short whenever the last term starts at the order
+        (series_core, "_horner", "while shift <= reach:", "while shift < reach:"),
+        # term n shifted by offset + step n, not offset + step (n - 1)
+        (series_core, "_horner", "shift = offset\n", "shift = offset + step\n"),
+        # Cauchy's (z; Q)_n divisors with z's sign flipped
+        (series_core, "_horner", "offset + step * (n - 1), sign)", "offset + step * (n - 1), -sign)"),
+        # the grid refined without spreading the coarse coefficients out
+        (series_core, "expand_product", "finer[:: grid // fine] = c", "finer[: len(c)] = c"),
         # O(lambda) left unchanged by m parts equal to k
         (stanley, "_odd_count_shift", "shift = m * (k & 1)", "shift = 0"),
         # the alternating sum for O(lambda') started with the wrong sign
         (stanley, "_odd_count_shift", "k if c & 1 else -k", "-k if c & 1 else k"),
     ])
     def test_mutant_is_caught(self, monkeypatch, module, name, old, new):
-        monkeypatch.setattr(module, name, _mutant(module, name, old, new))
+        _bind(monkeypatch, name, _mutant(module, name, old, new))
         assert not all(r.passed for r in verify.run_suite("all", 100, 12, 40))
 
     def test_the_bilateral_range_one_short_changes_nothing_read(self):
@@ -1091,6 +1099,15 @@ class TestHelperMutations:
         short = _mutant(verify, "_triangular", "range(-order - 1 if", "range(-order if")
         assert all(short(order, True) == verify._triangular(order, True) for order in range(2, 300))
         assert short(1, True) != verify._triangular(1, True)
+
+    def test_an_untruncated_horner_term_changes_nothing(self, monkeypatch):
+        # R_n kept at the full length, not only to where it still reaches
+        # the result: each step adds it in as a slice map over c, which
+        # stops at c's end, so the extra coefficients only cost time
+        specs = {spec for _, spec in _proof_step_leaves("expand_product", 100)}
+        real = {(spec, n): series_core.expand_product(spec, n) for spec in specs for n in (0, 1, 2, 7, 40, 100)}
+        monkeypatch.setattr(series_core, "_horner", _mutant(series_core, "_horner", "r = c[: reach + 1]", "r = c[:]"))
+        assert all(series_core.expand_product(spec, n) == series for (spec, n), series in real.items())
 
 
 def _in_process(order, enum_bound, oracle_bound):
