@@ -137,6 +137,12 @@ def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
     return path
 
 
+def _is_decimal(value) -> bool:
+    # a str as str(int) writes one: ASCII digits after an optional "-";
+    # int() alone would also read "3_0", " 2", "+3" and non-ASCII digits
+    return type(value) is str and value.isascii() and value.removeprefix("-").isdigit()
+
+
 def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
     """Read one cached column; None on miss. Stale versions never match the
     key, and a corrupt file warns and recomputes rather than answer wrongly."""
@@ -150,7 +156,7 @@ def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
             return None
         values = payload["values"]
         # cache_store writes decimal strings; int() would truncate a float
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        if not isinstance(values, list) or not all(map(_is_decimal, values)):
             raise ValueError("coefficients are not a list of decimal strings")
         values = [int(v) for v in values]
         if len(values) != order + 1:
@@ -312,7 +318,7 @@ def _json_int(value) -> int:
     # the inverse of _json_coeff: an int, or an int's decimal string
     if type(value) is int:
         return value
-    if type(value) is str and value.isascii() and value.removeprefix("-").isdigit():
+    if _is_decimal(value):
         return int(value)
     raise ValueError(f"JSON export values must be integers or decimal strings, got {value!r}")
 
@@ -359,8 +365,8 @@ COMMON_OPTIONS = (
      "about 2 s and --suite all about 7 s"),
     ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
      "exhaustive combinatorial bound (default %(default)s); the pass walks "
-     "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
-     f"the cap of {ENUM_BOUND_CAP}"),
+     "every partition of n <= the bound, about 0.03 s at 25 and 0.7 s and "
+     f"45 MB at the cap of {ENUM_BOUND_CAP}"),
     ("--oracle-bound", "oracle_bound", int, verify.DEFAULT_ORACLE_BOUND, None, False,
      "bound of the partition-DP cross-check in verify and of "
      "the brute force in table --oracle (default %(default)s); the DP takes "

@@ -9,7 +9,8 @@ length is even. The partition listing's entries (those statistics and the
 hook rows) come from _partition_entries, which builds each partition from
 its suffixes without conjugating. The combinatorial sweep's _suffix_walk
 builds each partition from its tail the same way, carrying the conjugate,
-both odd-part counts and the even-hook count over from that tail.
+both odd-part counts and the even-hook count over from that tail, and
+yields the partitions in the order the reports index them.
 
 Row and column indices are 1-based throughout, matching the usual (i, j)
 cell convention for Young diagrams.
@@ -76,14 +77,18 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
 
 def _suffix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int, int, int, int]]:
     """Yield (n, lam, lam', O(lam), O(lam'), He(lam), a) for every partition
-    of n <= n_max, where a = #{j <= lam_1 : lam'_j - j odd}.
+    of n <= n_max, where a = #{j <= lam_1 : lam'_j - j odd}, in the order
+    the reports index them: n ascending, then decreasing lex order within n.
 
-    A depth-first walk of the suffix tree: the root is (), and the children
-    of mu, with m = mu_1 (0 for the root), prepend one part x >= m. So each
-    partition comes after its tail lam[1:], and the partitions of one n do
-    not come in lex order. Prepending x raises columns 1..m by one and adds
-    x - m columns of height 1, so lam' = (mu'_j + 1 for j <= m) + (1,) * (x - m),
-    O gains x & 1 and O' becomes x - O(mu').
+    Each partition x.mu of n is built from its tail mu, a partition of
+    n - x with parts at most x. A tail recurs only inside some y.mu with
+    y >= mu_1, so it is kept while |mu| + mu_1 <= n_max, grouped by weight
+    and first part; reading the groups of weight n - x by first part
+    m <= x, largest first, gives the partitions led by x in decreasing lex
+    order. Prepending x to mu, with m = mu_1 (0 for the empty tail), raises
+    columns 1..m by one and adds x - m columns of height 1, so
+    lam' = (mu'_j + 1 for j <= m) + (1,) * (x - m), O gains x & 1 and O'
+    becomes x - O(mu').
 
     Hook (i, j) = lam_i - j + lam'_j - i + 1 reads only the suffix
     (lam_i, lam_i+1, ...), so only the new first row's hooks are new. Hook
@@ -97,26 +102,29 @@ def _suffix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, 
     """
     if n_max < 0:
         raise ValueError(f"cannot partition a negative integer {n_max}")
-    node = (0, (), (), 0, 0, 0, 0)
-    yield node
-    stack = [node]
-    push, pop = stack.append, stack.pop
+    yield 0, (), (), 0, 0, 0, 0
+    # kept[w][m] holds, for each kept tail mu of weight w led by m, what x.mu
+    # reads of it: mu, mu' raised by one, O, O', He + a, He + m - a and
+    # m - a - floor(m / 2)
+    kept = [[[] for _ in range(w + 1)] for w in range(n_max + 1)]
+    kept[0][0].append(((), (), 0, 0, 0, 0, 0))
     one_more = (1).__add__
-    while stack:
-        # only nodes with children are pushed: x.mu has some when |mu| + 2x <= n_max
-        n, mu, conj, odd, odd_conj, even_hooks, a = pop()
-        m = mu[0] if mu else 0
-        raised = tuple(map(one_more, conj))
-        row_if_even, row_if_odd = even_hooks + a, even_hooks + m - a
-        a_base = m - a - m // 2
-        for x in range(m or 1, n_max - n + 1):
-            node = (
-                n + x, (x,) + mu, raised + (1,) * (x - m), odd + (x & 1), x - odd_conj,
-                (row_if_odd if x & 1 else row_if_even) + (x - m) // 2, a_base + x // 2,
-            )
-            yield node
-            if n + 2 * x <= n_max:
-                push(node)
+    for n in range(1, n_max + 1):
+        for x in range(n, 0, -1):
+            groups = kept[n - x]
+            for m in range(min(x, n - x), -1, -1):
+                for mu, raised, odd, odd_conj, row_if_even, row_if_odd, a_base in groups[m]:
+                    node = (
+                        n, (x,) + mu, raised + (1,) * (x - m), odd + (x & 1), x - odd_conj,
+                        (row_if_odd if x & 1 else row_if_even) + (x - m) // 2, a_base + x // 2,
+                    )
+                    yield node
+                    if n + x <= n_max:  # |lam| + lam_1 <= n_max
+                        _, lam, conj, lam_odd, lam_odd_conj, even_hooks, a = node
+                        kept[n][x].append((
+                            lam, tuple(map(one_more, conj)), lam_odd, lam_odd_conj,
+                            even_hooks + a, even_hooks + x - a, x - a - x // 2,
+                        ))
 
 
 def _partition_entries(n: int, kind_filter: str, render):

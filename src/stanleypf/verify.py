@@ -19,12 +19,13 @@ The combinatorial side of the ``series/*-vs-enumeration`` checks is the
 partition DP, ``stanley.table_from_dp``, to ``oracle_bound``. The
 combinatorial suite ties that DP to exhaustive enumeration: its even-hook
 counts over every partition of n <= ``enum_bound`` must equal the DP's t(n).
-The suite makes one shared depth-first walk of the partition suffix tree
-(``partitions._suffix_walk``), which builds each partition by putting one
-part on top of its tail and carries the conjugate, both odd-part counts and
-the even-hook count over from that tail in O(1) steps per count. All four
-combinatorial checks read these values; the odd-part side and the hook
-side share only the partition and its conjugate.
+The suite makes one shared walk over the partitions
+(``partitions._suffix_walk``), in the order the reports index them. It
+builds each partition by putting one part on top of its tail and carries
+the conjugate, both odd-part counts and the even-hook count over from that
+tail in O(1) steps per count. All four combinatorial checks read these
+values; the odd-part side and the hook side share only the partition and
+its conjugate.
 
 ``run_suite("all")`` runs the combinatorial suite in a child made with
 ``os.fork`` while the parent runs the proof steps, the series suite and the
@@ -357,46 +358,35 @@ def _report(name: str, bound: int, failure: tuple | None) -> VerificationReport:
     return VerificationReport(name, bound, False, *failure)
 
 
-def _earlier(first: tuple | None, n: int, lam: tuple[int, ...], witnesses: tuple) -> tuple:
-    # Failures are ranked as the reports index them: by n, then in
-    # decreasing lex order within n.
-    if first is None or n < first[0] or (n == first[0] and lam > first[1]):
-        return n, lam, witnesses
-    return first
-
-
 def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[VerificationReport]:
     """One walk over every partition of n <= max(enum_bound, corner_bound).
 
-    ``partitions._suffix_walk`` yields each partition once, built from its
-    tail lam[1:], with its conjugate, both odd-part counts and its even-hook
-    count carried over from that tail: the hook side from the hook formula
-    alone, the odd side from the parts alone. They feed hook parity, the
-    hook counts and conjugation pairing for n <= enum_bound, and the corner
-    lemma for 1 <= n <= corner_bound. The walk does not meet each n's
-    partitions in lex order, so each check keeps the failing partition with
-    the smallest n and, within that n, the largest parts; only then is its
-    index counted, in decreasing lex order within each n from the empty
-    partition, over a second walk up to that n. So every report is what
-    that check would give in a sweep of its own. lambda- can come after
-    lambda in the walk, so the sweep keeps one table, lambda -> (n,
-    lambda', H_e) for every partition of n <= corner_bound, and checks the
-    corners after the walk, reading H_e(lambda-) from that table.
+    ``partitions._suffix_walk`` yields each partition once, in the order the
+    reports index them, built from its tail lam[1:], with its conjugate,
+    both odd-part counts and its even-hook count carried over from that
+    tail: the hook side from the hook formula alone, the odd side from the
+    parts alone. They feed hook parity, the hook counts and conjugation
+    pairing for n <= enum_bound, and the corner lemma for
+    1 <= n <= corner_bound. The first failure a check meets is its report,
+    at the walk's running index, so every report is what that check would
+    give in a sweep of its own. lambda- comes at n - 1, before lambda, so
+    the sweep keeps one table, lambda -> H_e for n < corner_bound, and
+    checks each corner as the walk meets lambda.
 
     Returns six reports in suite order: hook parity, the corner lemma, the
     three hook-counting identities, conjugation pairing.
     """
-    top = max(enum_bound, corner_bound)
     even_counts = [0] * (enum_bound + 1)  # per n <= enum_bound: partitions with evenly many even hooks
     odd_counts = [0] * (enum_bound + 1)  # ... and with oddly many
-    # each check's first failure so far, as (n, lam, witnesses)
+    # each check's first failure, as (index, *witnesses)
     parity_failure = corner_failure = pairing_failure = None
-    kept: dict[tuple[int, ...], tuple] = {}  # lam -> (n, lam', H_e) for n <= corner_bound
-    for n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _ in partitions._suffix_walk(top):
+    kept: dict[tuple[int, ...], int] = {}  # lam -> H_e for n < corner_bound
+    walk = partitions._suffix_walk(max(enum_bound, corner_bound))
+    for index, (n, lam, conj, odd_parts, odd_parts_conj, even_hooks, _) in enumerate(walk):
         if n <= enum_bound:
             type_mod_4 = (odd_parts - odd_parts_conj) % 4
-            if (type_mod_4 == 0) != (even_hooks % 2 == 0):
-                parity_failure = _earlier(parity_failure, n, lam, (type_mod_4, even_hooks))
+            if parity_failure is None and (type_mod_4 == 0) != (even_hooks % 2 == 0):
+                parity_failure = index, type_mod_4, even_hooks
             if even_hooks % 2 == 0:
                 even_counts[n] += 1
             else:
@@ -404,33 +394,23 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             # a u-type lambda needs a distinct u-type conjugate; the
             # partner's type needs O(lambda''), the number of odd columns
             # of lambda', which is lambda'_1 - lambda'_2 + lambda'_3 - ...
-            if type_mod_4 and (
+            if pairing_failure is None and type_mod_4 and (
                 conj == lam or (odd_parts_conj - sum(conj[::2]) + sum(conj[1::2])) % 4 == 0
             ):
-                pairing_failure = _earlier(pairing_failure, n, lam, (n, None))
-        if n <= corner_bound:
-            kept[lam] = n, conj, even_hooks
-    for lam, (n, conj, even_hooks) in kept.items():
-        for i, j in inner_corners(lam) if n else ():  # the empty partition has none
-            # a corner in column 1 is the whole last row
-            removed = kept.get(lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1])
-            # a lambda-minus the walk never yielded fails the corner
-            if removed is None or ((even_hooks - removed[2]) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0):
-                corner_failure = _earlier(corner_failure, n, lam, (i, j))
-                break
-
-    def indexed(first: tuple | None, shift: int = 0) -> tuple | None:
-        # the partitions the walk yields before lam in the reports' order:
-        # every one of a smaller n, and those of n with larger parts
-        if first is None:
-            return None
-        n, lam, witnesses = first
-        before = sum(1 for node in partitions._suffix_walk(n) if node[0] < n or node[1] > lam)
-        return (before - shift, *witnesses)
-
+                pairing_failure = index, n, None
+        if n < corner_bound:
+            kept[lam] = even_hooks
+        if corner_failure is None and 1 <= n <= corner_bound:
+            for i, j in inner_corners(lam):
+                # a corner in column 1 is the whole last row
+                removed = kept.get(lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1])
+                # a lambda-minus the walk never yielded fails the corner
+                if removed is None or ((even_hooks - removed) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0):
+                    corner_failure = index - 1, i, j  # counted from n = 1
+                    break
     return [
-        _report("comb/hook-parity-equivalence", enum_bound, indexed(parity_failure)),
-        _report("comb/corner-parity-lemma", corner_bound, indexed(corner_failure, 1)),  # counted from n = 1
+        _report("comb/hook-parity-equivalence", enum_bound, parity_failure),
+        _report("comb/corner-parity-lemma", corner_bound, corner_failure),
         _values_equal(
             "comb/even-hook-partitions-equal-t",
             enum_bound,
@@ -449,7 +429,7 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             [e - o for e, o in zip(even_counts, odd_counts)],
             list(stanley.f_series(enum_bound).coeffs),
         ),
-        _report("comb/u-partitions-pair-under-conjugation", enum_bound, indexed(pairing_failure)),
+        _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
     ]
 
 
@@ -480,13 +460,12 @@ def check_corner_lemma(n_max: int) -> VerificationReport:
     = lambda_i + lambda'_j mod 2.
 
     Both even-hook counts are the ones the suffix walk carried over from
-    each partition's tail, never made from each other. The walk can meet
-    lambda- after lambda, so the sweep keeps one table of (n, lambda', H_e)
-    for every partition of n <= n_max and checks the corners after the
-    walk; H_e(lambda-) is the count kept for lambda-. A failure records the
-    partition's index from n = 1 and the corner (i, j); a lambda- that the
-    walk never yielded fails at its first lambda. The check is one part of
-    the shared combinatorial sweep.
+    each partition's tail, never made from each other. The walk yields
+    lambda- at n - 1, before lambda, so the sweep keeps H_e for every
+    partition of n < n_max and checks each partition's corners as the walk
+    meets it. A failure records the partition's index from n = 1 and the
+    corner (i, j); a lambda- that the walk never yielded fails at its first
+    lambda. The check is one part of the shared combinatorial sweep.
     """
     return _combinatorial_sweep(0, n_max)[1]
 

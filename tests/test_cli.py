@@ -530,6 +530,23 @@ class TestCache:
         assert cache_load(str(tmp_path), "t", 4) is None
         assert "corrupt cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ("3_0", " 2", "+3", "\u0663"))
+    def test_value_int_reads_but_str_never_writes_is_corrupt(self, tmp_path, capsys, value):
+        # int() reads each of these as a number, so only the strict check
+        # stops a wrong column: the cache warns and the column is recomputed
+        path = cache_store(str(tmp_path), "t", 4, [1, 1, 0, 1, 5])
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload["values"][3] = value
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        assert cache_load(str(tmp_path), "t", 4) is None
+        assert "corrupt cache" in capsys.readouterr().err
+        code, out, err = run(capsys, "export", "--stat", "t", "--max", "4",
+                             "--format", "bfile", "--cache", str(tmp_path), "--order", "4")
+        assert (code, out) == (0, "0 1\n1 1\n2 0\n3 1\n4 5\n")
+        assert "corrupt cache" in err
+
     def test_stale_version_ignored(self, tmp_path):
         path = cache_store(str(tmp_path), "t", 4, [9, 9, 9, 9, 9])
         with open(path) as fh:

@@ -45,8 +45,8 @@ def reference_parser() -> argparse.ArgumentParser:
                              "about 2 s and --suite all about 7 s")
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25); the pass walks "
-                             "every partition of n <= the bound, about 0.03 s at 25 and 1 s at "
-                             f"the cap of {ENUM_BOUND_CAP}")
+                             "every partition of n <= the bound, about 0.03 s at 25 and 0.7 s and "
+                             f"45 MB at the cap of {ENUM_BOUND_CAP}")
     common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
                         help="bound of the partition-DP cross-check in verify and of "
                              "the brute force in table --oracle (default 60); the DP takes "

@@ -58,8 +58,8 @@ class TestSuffixWalk:
             (0, (), (), 0, 0, 0, 0),
             (1, (1,), (1,), 1, 1, 0, 0),
             (2, (2,), (1, 1), 0, 2, 1, 1),
-            (3, (3,), (1, 1, 1), 1, 3, 1, 1),
             (2, (1, 1), (2,), 2, 0, 1, 1),
+            (3, (3,), (1, 1, 1), 1, 3, 1, 1),
             (3, (2, 1), (2, 1), 1, 1, 0, 2),
             (3, (1, 1, 1), (3,), 3, 1, 1, 0),
         ]
@@ -78,6 +78,13 @@ class TestSuffixWalk:
         assert sorted(by_weight) == list(range(21))
         for n, seen in by_weight.items():
             assert sorted(seen, reverse=True) == list(partitions_of(n))
+
+    def test_report_order(self):
+        # n ascending, then decreasing lex order within n, at every bound:
+        # which tails the walk keeps depends on n_max
+        for n_max in range(21):
+            walked = [(n, lam) for n, lam, *_ in _suffix_walk(n_max)]
+            assert walked == [(n, lam) for n in range(n_max + 1) for lam in partitions_of(n)], n_max
 
     def test_tails_come_first(self):
         seen = set()
@@ -102,7 +109,7 @@ class TestPartitionEntries:
             walked.setdefault(n, []).append((lam, odd, odd_conj, even_hooks, kind))
         for n in range(21):
             listed = [entry[:5] for entry in _partition_entries(n, "all", None)]
-            assert listed == sorted(walked[n], reverse=True), n
+            assert listed == walked[n], n
 
 
 class TestConjugate:

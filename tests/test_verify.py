@@ -945,9 +945,10 @@ def _reference_sweep(enum_bound, corner_bound, misread_partners=frozenset()):
 
 
 class TestCombinatorialWalk:
-    """The sweep walks the partition suffix tree, in no lex order, and
-    reports each failure at its index in decreasing lex order, as a check
-    run partition by partition would."""
+    """The sweep walks the partitions in the order the reports index them,
+    n ascending and then decreasing lex order within n, and reports each
+    check's first failure at its running index, as a check run partition by
+    partition would."""
 
     @pytest.mark.parametrize("bounds", [(0, 0), (1, 1), (25, 20), (0, 20), (20, 3), (3, 14), (12, 12)])
     def test_reports_match_the_reference(self, bounds):
@@ -983,6 +984,20 @@ class TestCombinatorialWalk:
             (*node[:4], node[4] + 2, *node[5:]) if node[1] == (2, 1) else node
         ])
         assert suite_combinatorial(25)[-1] == _report("comb/u-partitions-pair-under-conjugation", 25, 5, 3, None)
+
+    def test_one_walk_under_a_planted_fault(self, monkeypatch):
+        # a failing check reads its index off the one walk, never a second
+        _plant_even_hooks(monkeypatch, {(3, 2)})
+        bounds = []
+        walk = partitions._suffix_walk
+
+        def counted(n_max):
+            bounds.append(n_max)
+            return walk(n_max)
+
+        monkeypatch.setattr(partitions, "_suffix_walk", counted)
+        assert not all(r.passed for r in suite_combinatorial(25))
+        assert bounds == [25]
 
     @staticmethod
     def _replant(monkeypatch, times):
@@ -1047,17 +1062,30 @@ class TestSuffixWalkMutations:
         # x's parity flipped in the row term
         ("row_if_odd if x & 1 else row_if_even", "row_if_even if x & 1 else row_if_odd"),
         # a off by one
-        ("a_base = m - a - m // 2", "a_base = m - a - m // 2 + 1"),
+        ("x - a - x // 2", "x - a - x // 2 + 1"),
         # ceil((x - m) / 2) new even hooks past column m
         ("+ (x - m) // 2", "+ (x - m + 1) // 2"),
         # O' = x + O(mu')
         ("x - odd_conj", "x + odd_conj"),
+        # a tail kept one step short: no tail with |mu| + mu_1 = n_max
+        ("if n + x <= n_max:", "if n + x < n_max:"),
     ])
     def test_mutant_is_caught(self, monkeypatch, old, new):
         monkeypatch.setattr(partitions, "_suffix_walk", _mutant_walk(old, new))
         reports = verify._combinatorial_sweep(12, 8)
         assert reports != _reference_sweep(12, 8)
         assert not all(r.passed for r in reports)
+
+    def test_groups_read_in_the_wrong_order_move_a_planted_failure(self, monkeypatch):
+        # reading the groups of one weight smallest first part first keeps
+        # every count and moves only failure indices, so it runs with one
+        # extra even hook in (3, 2), which then comes after (3, 1, 1)
+        monkeypatch.setattr(partitions, "_suffix_walk", _mutant_walk(
+            "range(min(x, n - x), -1, -1)", "range(min(x, n - x) + 1)"
+        ))
+        assert verify._combinatorial_sweep(12, 8) == _reference_sweep(12, 8)
+        _plant_even_hooks(monkeypatch, {(3, 2)})
+        assert verify._combinatorial_sweep(12, 8) != _reference_sweep(12, 8)
 
 
 class TestHelperMutations:
