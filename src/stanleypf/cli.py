@@ -362,7 +362,7 @@ COMMON_OPTIONS = (
     ("--order", "order", int, verify.DEFAULT_ORDER, None, False,
      f"series truncation order (default %(default)s, at most {ORDER_CAP}); at the "
      "cap, a table of p,t,u,f takes about 1 s, verify --suite series "
-     "about 2 s and --suite all about 7 s"),
+     "about 1.5 s and --suite all about 4.5 s"),
     ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
      "exhaustive combinatorial bound (default %(default)s); the pass walks "
      "every partition of n <= the bound, about 0.03 s at 25 and 0.7 s and "
@@ -370,7 +370,7 @@ COMMON_OPTIONS = (
     ("--oracle-bound", "oracle_bound", int, verify.DEFAULT_ORACLE_BOUND, None, False,
      "bound of the partition-DP cross-check in verify and of "
      "the brute force in table --oracle (default %(default)s); the DP takes "
-     f"about 0.3 s at 300 and 3 s at verify's cap of {ORACLE_BOUND_CAP}"),
+     f"about 0.1 s at 300 and 1 s at verify's cap of {ORACLE_BOUND_CAP}"),
     ("--format", "output_format", None, "text", FORMATS, False, "output format (default %(default)s)"),
     ("--cache", "cache", None, None, None, False, f"coefficient cache directory (or ${CACHE_ENV_VAR})"),
 )

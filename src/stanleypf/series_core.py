@@ -30,11 +30,13 @@ run through different sums. ``proof/euler-odd-distinct`` compares
 q; ``proof/neg-one-pochhammer-doubling`` compares Euler's sum at x = 1
 with twice the one at x = q^16.
 
-The dense passes, each binomial division and each row of a Cauchy product
-(``series_mul``), run as whole-slice ``operator`` maps, so their
-per-coefficient loops run in C. They add zero coefficients too, where a
-Python loop would skip them; what is left of their cost is big-integer
-arithmetic.
+The dense passes run their per-coefficient loops in C. A binomial
+division by (1 +/- q^k) of a list of length n takes at most sqrt(n) of
+them: one whole-slice ``operator`` map per block of length k when k^2 >= n,
+and otherwise one ``itertools.accumulate`` running sum over each of the k
+strides c[j::k]. Each row of a Cauchy product (``series_mul``) is one
+whole-slice map. They add zero coefficients too, where a Python loop would
+skip them; what is left of their cost is big-integer arithmetic.
 
 All values are immutable after construction. A series keeps its
 coefficients in ``__slots__`` and refuses assignment with AttributeError;
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, isqrt
 from operator import add, mul, sub
 
@@ -235,12 +237,25 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def _div_binomial(c: list[int], k: int, sign: int) -> None:
-    # c /= (1 + sign*q^k), in place, one block of length k at a time: each
-    # block reads the block below it, which is already the quotient; the
-    # last block may be short
-    op = sub if sign > 0 else add
-    for i in range(k, len(c), k):
-        c[i : i + k] = map(op, c[i : i + k], c[i - k : i])
+    # c /= (1 + sign*q^k), in place, in at most sqrt(len(c)) passes.
+    # Where k^2 >= len(c), one block of length k at a time: each block reads
+    # the block below it, which is already the quotient; the last block may
+    # be short. Otherwise one running sum over each of the k strides
+    # c[j::k]: the quotient d has d[i] = c[i] - sign*d[i - k], so for
+    # 1 - q^k a stride of d is the running sum of c's, and for 1 + q^k it
+    # is that of c's stride with alternating signs, signed again.
+    n = len(c)
+    if k * k >= n:
+        op = sub if sign > 0 else add
+        for i in range(k, n, k):
+            c[i : i + k] = map(op, c[i : i + k], c[i - k : i])
+    elif sign < 0:
+        for j in range(k):
+            c[j::k] = accumulate(c[j::k])
+    else:
+        signs = (1, -1) * (n // (2 * k) + 1)
+        for j in range(k):
+            c[j::k] = map(mul, accumulate(map(mul, c[j::k], signs)), signs)
 
 
 def _horner(c: list[int], sign: int, offset: int, step: int, cauchy: bool) -> None:
@@ -331,7 +346,7 @@ def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
       or divided out as one sparse series, O(order sqrt(order/a));
     * any other factor with e > 0 by Euler's sum (-x; Q) = sum_n x^n
       Q^(n(n-1)/2) / (Q; Q)_n, x = sign*q^offset, Q = q^step: about
-      sqrt(2 order/step) block-wise binomial divisions (``_horner``); the
+      sqrt(2 order/step) binomial divisions (``_horner``); the
       offset-0 factor (-1; Q) is the sum at x = 1 and contributes its 2;
     * any other factor with e < 0 by the Durfee-square form of Cauchy's
       identity, 1/(z; Q) = sum_n z^n Q^(n^2-n) / ((Q; Q)_n (z; Q)_n), z =

@@ -30,7 +30,7 @@ a ``TruncatedSeries``, and ``verify`` compares the two.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add
 
 from .partitions import _parts_stream
@@ -65,6 +65,31 @@ _U_PROGRESSION = {
 }
 
 
+# The series memo of one ``verify.run_suite`` call, which sets a dict here
+# and drops it when the call ends: within a run, each exported series is
+# expanded once per (function, arguments, order). None outside a run, so a
+# call outside one computes fresh.
+_run_memo: dict | None = None
+
+
+def _memoised(fn):
+    """fn, reading and filling the run memo while one is set."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoised(*args):
+        memo = _run_memo
+        if memo is None:
+            return fn(*args)
+        key = (name, *args)
+        series = memo.get(key)
+        if series is None:
+            series = memo[key] = fn(*args)
+        return series
+
+    return memoised
+
+
 class IdentityError(ValueError):
     """An odd coefficient stopped the exact halving behind t = (p + f) / 2.
 
@@ -79,6 +104,7 @@ class IdentityError(ValueError):
         self.halved = halved
 
 
+@_memoised
 def p_series(order: int) -> TruncatedSeries:
     """Partition numbers p(n) as the expansion of 1/(q; q).
 
@@ -88,6 +114,7 @@ def p_series(order: int) -> TruncatedSeries:
     return eta_quotient(((1, -1),), order)
 
 
+@_memoised
 def f_series(order: int) -> TruncatedSeries:
     """The signed-count generating function of f(n)."""
     return expand_product(_F_SPEC, order)
@@ -112,11 +139,13 @@ def t_series_half_sum(order: int) -> TruncatedSeries:
     return _halve_exactly(series_add(p_series(order), f_series(order)))
 
 
+@_memoised
 def t_series_andrews(order: int) -> TruncatedSeries:
     """t(n) from Andrews' closed-form eta-quotient."""
     return eta_quotient(_T_ETA_TERMS, order)
 
 
+@_memoised
 def u_series(order: int) -> TruncatedSeries:
     """u(n) from the closed-form eta-quotient with prefactor 2 q^2."""
     if order < 2:
@@ -124,11 +153,13 @@ def u_series(order: int) -> TruncatedSeries:
     return series_mul(series_monomial(2, 2, order), eta_quotient(_U_ETA_TERMS, order))
 
 
+@_memoised
 def v_series(order: int) -> TruncatedSeries:
     """The quotient V(q) shared by all four progression series."""
     return eta_quotient(_V_ETA_TERMS, order)
 
 
+@_memoised
 def u_progression_series(i: int, order: int) -> TruncatedSeries:
     """The closed-form series sum_n u(4n + i) q^n for i in 0..3."""
     if i not in _U_PROGRESSION:
@@ -209,8 +240,12 @@ def table_from_dp(max_n: int) -> StanleyTable:
 
     Part sizes k = max_n, ..., 1 are taken in descending order, each with a
     multiplicity m, so parts are appended in the order lam_1 >= lam_2 >= ...
-    The state is (weight, number of parts mod 2, (O(lambda) - O(lambda'))
-    mod 4), and a partition is t-type when the last is 0. That costs
+    ``_odd_count_shift`` is always even (pinned by
+    ``TestPartitionDP::test_odd_count_shift_is_even`` in
+    ``tests/test_stanley.py``), so O(lambda) - O(lambda') is even at every
+    step. The state is therefore (weight, number of parts mod 2, (O(lambda)
+    - O(lambda')) / 2 mod 2), four lists, and a partition is t-type when the
+    last is 0. That costs
     O(max_n^2 log max_n) big-integer additions; no partition is visited and
     no series is expanded, so the counts are independent of both the
     brute-force stream and the generating functions.
@@ -218,20 +253,20 @@ def table_from_dp(max_n: int) -> StanleyTable:
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     size = max_n + 1
-    # counts[4 * c + a][w]: partitions of weight w into the parts taken so
-    # far, with c parts mod 2 and O(lambda) - O(lambda') = a mod 4
-    counts = [[0] * size for _ in range(8)]
+    # counts[2 * c + h][w]: partitions of weight w into the parts taken so
+    # far, with c parts mod 2 and O(lambda) - O(lambda') = 2h mod 4
+    counts = [[0] * size for _ in range(4)]
     counts[0][0] = 1
     for k in range(max_n, 0, -1):
-        extended = [[0] * size for _ in range(8)]
+        extended = [[0] * size for _ in range(4)]
         for m in range(max_n // k + 1):
             offset = m * k
             for c in (0, 1):
-                shift = _odd_count_shift(k, m, c)
-                for a in range(4):
-                    dst = extended[4 * (c ^ (m & 1)) + (a + shift) % 4]
-                    dst[offset:] = map(add, dst[offset:], counts[4 * c + a][: size - offset])
+                flip = (_odd_count_shift(k, m, c) >> 1) & 1
+                for h in (0, 1):
+                    dst = extended[2 * (c ^ (m & 1)) + (h ^ flip)]
+                    dst[offset:] = map(add, dst[offset:], counts[2 * c + h][: size - offset])
         counts = extended
     p = [sum(col) for col in zip(*counts)]
-    t = [even + odd for even, odd in zip(counts[0], counts[4])]
+    t = [even + odd for even, odd in zip(counts[0], counts[2])]
     return _table_from_counts(max_n, p, t)

@@ -33,7 +33,10 @@ congruences; the combinatorial suite shares no value with them, so a
 second CPU can do the sweep. Only the child's finished reports cross back,
 as plain tuples through a pipe with ``marshal``. Where ``os.fork`` is
 missing, only one CPU is usable or another thread runs, every suite runs in
-the one process.
+the one process. All suites of one ``run_suite`` call read ``stanley``'s
+exported series through one memo, made before the fork and dropped when
+the call ends, so each is expanded once per run; the memo only shares a
+value between checks, and a call outside ``run_suite`` computes fresh.
 
 Passing at a finite order is evidence, not proof: reports state the order
 or bound they were verified to.
@@ -48,7 +51,6 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import partitions, stanley
-from .partitions import inner_corners
 from .series_core import (
     MAX_DILATION_ORDER,
     ProductSpec,
@@ -401,11 +403,16 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
         if n < corner_bound:
             kept[lam] = even_hooks
         if corner_failure is None and 1 <= n <= corner_bound:
-            for i, j in inner_corners(lam):
+            last = len(lam)
+            for i, j in enumerate(lam, 1):
+                if i != last and lam[i] == j:
+                    continue  # (i, j) is a corner only where lam_i > lam_(i+1)
                 # a corner in column 1 is the whole last row
                 removed = kept.get(lam[: i - 1] + (j - 1,) + lam[i:] if j > 1 else lam[:-1])
-                # a lambda-minus the walk never yielded fails the corner
-                if removed is None or ((even_hooks - removed) % 2 == 0) != ((j - conj[j - 1]) % 2 == 0):
+                # the lemma fails where H_e(lambda) - H_e(lambda-) and
+                # lambda_i - lambda'_j differ in parity, and at a
+                # lambda-minus the walk never yielded
+                if removed is None or (even_hooks - removed + j - conj[j - 1]) & 1:
                     corner_failure = index - 1, i, j  # counted from n = 1
                     break
     return [
@@ -681,16 +688,21 @@ def run_suite(
     deterministic, so the reports, or the exception the suite raises, are
     the ones a run in this process gives. The child is reaped before the
     call returns or raises, and killed first if it is still running.
+
+    ``stanley``'s exported series are memoised for the length of the call,
+    keyed by (function, arguments, order): the memo is made before the fork
+    and dropped when the call returns or raises.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     reports: list[VerificationReport] = []
     pid = read_fd = None
-    if name == "all":
-        # an order the proof steps reject starts no child
-        _check_proof_order(order)
-        pid, read_fd = _fork_combinatorial(enum_bound)
+    stanley._run_memo = {}
     try:
+        if name == "all":
+            # an order the proof steps reject starts no child
+            _check_proof_order(order)
+            pid, read_fd = _fork_combinatorial(enum_bound)
         # the proof steps go first, so an order they reject fails before any suite runs
         if name in ("all", "proof-steps"):
             reports.extend(check_proof_steps(order))
@@ -705,6 +717,7 @@ def run_suite(
             pid = None
             reports.extend(_child_reports(data, status) or suite_combinatorial(enum_bound))
     finally:
+        stanley._run_memo = None
         if read_fd is not None:
             os.close(read_fd)
         if pid is not None:

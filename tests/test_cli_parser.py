@@ -42,7 +42,7 @@ def reference_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=verify.DEFAULT_ORDER,
                         help=f"series truncation order (default 200, at most {ORDER_CAP}); at the "
                              "cap, a table of p,t,u,f takes about 1 s, verify --suite series "
-                             "about 2 s and --suite all about 7 s")
+                             "about 1.5 s and --suite all about 4.5 s")
     common.add_argument("--enum-bound", type=int, default=verify.DEFAULT_ENUM_BOUND,
                         help="exhaustive combinatorial bound (default 25); the pass walks "
                              "every partition of n <= the bound, about 0.03 s at 25 and 0.7 s and "
@@ -50,7 +50,7 @@ def reference_parser() -> argparse.ArgumentParser:
     common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
                         help="bound of the partition-DP cross-check in verify and of "
                              "the brute force in table --oracle (default 60); the DP takes "
-                             f"about 0.3 s at 300 and 3 s at verify's cap of {ORACLE_BOUND_CAP}")
+                             f"about 0.1 s at 300 and 1 s at verify's cap of {ORACLE_BOUND_CAP}")
     common.add_argument("--format", choices=FORMATS, default="text", dest="output_format",
                         help="output format (default text)")
     common.add_argument("--cache", default=None,

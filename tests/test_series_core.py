@@ -319,10 +319,18 @@ class TestSparseEtaPath:
         assert expand_product(spec, 30).coeffs == (1,) + (0,) * 30
 
 
+def _div_per_element(c, k, sign):
+    # c / (1 + sign*q^k), one coefficient at a time
+    c = list(c)
+    for i in range(k, len(c)):
+        c[i] -= sign * c[i - k]
+    return c
+
+
 class TestBinomialPasses:
-    """_div_binomial's block-wise division, the one binomial pass left in
-    the kernel, equals the per-element loop of _dense_product at the edges of
-    its blocks."""
+    """_div_binomial, the one binomial pass left in the kernel, equals the
+    per-element loop of _dense_product at the edges of its blocks and of its
+    strides, and on either side of the cut-off k^2 = len between the two."""
 
     @pytest.mark.parametrize("sign", (1, -1))
     @pytest.mark.parametrize("times", (1, 3))
@@ -340,6 +348,27 @@ class TestBinomialPasses:
             _div_binomial(c, k, sign)
         # a factor whose step lies above the order is the one binomial
         assert tuple(c) == _dense_product(((-1, 1, 1, -1), (sign, k, order + 1, -times)), order)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("k", (2, 3, 4, 7))
+    @pytest.mark.parametrize("past", (-1, 0, 1))
+    def test_either_side_of_the_cut_off(self, sign, k, past):
+        # len = k^2 - 1 runs k strides; k^2 and k^2 + 1 run blocks
+        c = list(expand_product(ProductSpec(((-1, 1, 1, -1),)), k * k + past - 1).coeffs)
+        expected = _div_per_element(c, k, sign)
+        _div_binomial(c, k, sign)
+        assert c == expected
+
+    @given(
+        st.lists(coefficients, min_size=1, max_size=120),
+        st.integers(min_value=1, max_value=15),
+        st.sampled_from((1, -1)),
+    )
+    @settings(max_examples=300)
+    def test_random_lists(self, c, k, sign):
+        expected = _div_per_element(c, k, sign)
+        _div_binomial(c, k, sign)
+        assert c == expected
 
 
 class TestHornerSums:

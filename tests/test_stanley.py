@@ -160,6 +160,13 @@ class TestPartitionDP:
         with pytest.raises(ValueError, match="nonnegative"):
             stanley.table_from_dp(-1)
 
+    def test_odd_count_shift_is_even(self):
+        # the DP keeps (O - O') / 2 mod 2 only, which needs every shift even:
+        # for odd k, O gains m and O' gains +/-k exactly when m is odd
+        odd = [(k, m, c) for k in range(1, 61) for m in range(61) for c in (0, 1)
+               if stanley._odd_count_shift(k, m, c) % 2]
+        assert odd == []
+
     def test_independent_of_series_and_stream(self):
         # the oracle must not share code with either route it checks
         code = stanley.table_from_dp.__code__.co_names + stanley._odd_count_shift.__code__.co_names

@@ -1,4 +1,5 @@
 import errno
+import functools
 import inspect
 import marshal
 import os
@@ -218,7 +219,10 @@ PLANTED_LEAVES = [
 )
 def test_planted_leaf_gives_the_pinned_failing_reports(monkeypatch, leaf, index, failures):
     # one coefficient of one primitive expansion is off by one; the failing
-    # reports, witnesses and bounds included, are pinned
+    # reports, witnesses and bounds included, are pinned. A clean run_suite
+    # call first leaves nothing that the planted run_suite call reads.
+    assert all(r.passed for r in run_suite("all", 100, 12, 40))
+
     def planted(real):
         def expand(spec, order):
             series = real(spec, order)
@@ -236,6 +240,8 @@ def test_planted_leaf_gives_the_pinned_failing_reports(monkeypatch, leaf, index,
         check_jtp(k, sign, 100) for k in range(verify.DEFAULT_JTP_MAX_K + 1) for sign in (1, -1)
     ]
     assert [tuple(r) for r in reports if not r.passed] == failures
+    names = {failure[0] for failure in failures}
+    assert [tuple(r) for r in run_suite("all", 100, 12, 40) if r.check_name in names] == sorted(failures)
 
 
 def _recorded_calls(name, run):
@@ -605,20 +611,21 @@ class TestSuites:
         real = series_core.expand_product
 
         def counted(spec, order):
-            calls.append(order)
+            calls.append((spec, order))
             return real(spec, order)
 
         for module in (series_core, stanley, verify):
             monkeypatch.setattr(module, "expand_product", counted)
-        # on one CPU every suite runs, and is counted, in this process
+        # on one CPU every suite runs, and is counted, in this process; the
+        # run's memo leaves no product expanded twice at one order
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert all(r.passed for r in run_suite("all", 200, 25, 50))
-        assert len(calls) <= 70
+        assert len(calls) == len(set(calls)) == 60
         in_one_process = len(calls)
         # the combinatorial suite makes one expansion, f to the enum bound ...
         calls.clear()
         assert all(r.passed for r in suite_combinatorial(25))
-        assert calls == [25]
+        assert calls == [(stanley._F_SPEC, 25)]
         # ... which a forked child makes in place of this process
         calls.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1361,3 +1368,69 @@ class TestForkedCombinatorial:
     @pytest.mark.parametrize("suite", ["series", "combinatorial", "proof-steps", "congruences"])
     def test_single_suites_run_in_process(self, no_fork, two_cpus, suite):
         assert run_suite(suite, 16, 8, 12)
+
+
+_EXPORTS = ("p_series", "f_series", "t_series_andrews", "u_series", "v_series", "u_progression_series")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The (export, *args) of every evaluation of stanley's exported series,
+    in this process: each export is memoised afresh around a function that
+    counts the calls the memo lets through."""
+    counted = Counter()
+
+    def counting(fn):
+        @functools.wraps(fn)
+        def evaluate(*args):
+            counted[(fn.__name__, *args)] += 1
+            return fn(*args)
+
+        return evaluate
+
+    for name in _EXPORTS:
+        monkeypatch.setattr(stanley, name, stanley._memoised(counting(getattr(stanley, name).__wrapped__)))
+    return counted
+
+
+class TestRunMemo:
+    """Within one run_suite call each exported series is expanded once per
+    (function, arguments, order); the memo is made for that call and dropped
+    when it returns or raises, so no later call reads it. The planted-leaf
+    test binds its leaf after a clean run_suite call and must still see it."""
+
+    def test_the_parent_evaluates_each_export_once(self, forks, evaluations):
+        assert all(r.passed for r in run_suite("all", 200, 25, 50))
+        assert len(forks) == 1
+        # without the memo, f, u and p at 200 are read three times each, t
+        # at 200 twice and V at 40 four times
+        assert evaluations == dict.fromkeys([
+            ("p_series", 200), ("f_series", 200), ("u_series", 200), ("t_series_andrews", 200),
+            ("v_series", 50), ("u_progression_series", 2, 49), ("v_series", 49),
+            ("p_series", 40), ("f_series", 50), ("v_series", 40),
+            *(("u_progression_series", i, 40) for i in range(4)),
+        ], 1)
+        assert stanley._run_memo is None
+
+    def test_each_call_computes_fresh(self, evaluations):
+        run_suite("congruences", 40)
+        run_suite("congruences", 40)
+        assert evaluations == dict.fromkeys(
+            [("p_series", 40), ("f_series", 40), ("u_series", 40), ("t_series_andrews", 40)], 2
+        )
+        # and outside run_suite nothing is kept
+        stanley.f_series(40)
+        assert evaluations[("f_series", 40)] == 3
+
+    def test_a_call_after_a_suite_raised_computes_fresh(self, evaluations, monkeypatch):
+        def raising(order, oracle_bound):
+            stanley.p_series(order)
+            raise ArithmeticError("planted in the series suite")
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "suite_series", raising)
+            with pytest.raises(ArithmeticError, match="^planted in the series suite$"):
+                run_suite("series", 40)
+        assert stanley._run_memo is None
+        assert all(r.passed for r in run_suite("congruences", 40))
+        assert evaluations[("p_series", 40)] == 2
