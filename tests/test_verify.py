@@ -1370,7 +1370,48 @@ class TestForkedCombinatorial:
         assert run_suite(suite, 16, 8, 12)
 
 
-_EXPORTS = ("p_series", "f_series", "t_series_andrews", "u_series", "v_series", "u_progression_series")
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"), key=int)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list descriptors")
+class TestOpenDescriptors:
+    """run_suite("all") on two usable CPUs closes every descriptor it opens,
+    both ends of the child's pipe included, however the child ends."""
+
+    @pytest.mark.parametrize("case", ["success", "child raises", "parent raises", "fork fails"])
+    def test_the_open_descriptors_are_unchanged(self, forks, monkeypatch, case):
+        def failing(enum_bound):
+            raise RuntimeError("the child fails")
+
+        def stalled(enum_bound):
+            time.sleep(60)
+
+        def raising(order):
+            raise ArithmeticError("planted in the congruences")
+
+        def no_pids():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        if case == "child raises":
+            _in_child_only(monkeypatch, verify, "suite_combinatorial", failing)
+        elif case == "parent raises":
+            _in_child_only(monkeypatch, verify, "suite_combinatorial", stalled)
+            monkeypatch.setattr(verify, "check_congruences", raising)
+        elif case == "fork fails":
+            monkeypatch.setattr(os, "fork", no_pids)
+        before = _open_descriptors()
+        if case == "parent raises":
+            with pytest.raises(ArithmeticError, match="^planted in the congruences$"):
+                run_suite("all", 16, 8, 12)
+        else:
+            assert all(r.passed for r in run_suite("all", 16, 8, 12))
+        assert _open_descriptors() == before
+        assert len(forks) == (case != "fork fails")
+        _assert_no_child()
+
+
+_EXPORTS =("p_series", "f_series", "t_series_andrews", "u_series", "v_series", "u_progression_series")
 
 
 @pytest.fixture
