@@ -95,9 +95,13 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return series_add(self, other)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return series_add(self, -other)
 
     def __neg__(self) -> "TruncatedSeries":
@@ -106,6 +110,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncatedSeries(tuple(other * c for c in self.coeffs))
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return series_mul(self, other)
 
     __rmul__ = __mul__
@@ -203,13 +209,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         if x:
             out[i:] = map(add, out[i:], map(mul, cb[: n + 1 - i], repeat(x)))
     return TruncatedSeries(tuple(out))
-
-
-def series_truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Drop coefficients above the given order (which must not exceed a.order)."""
-    if not 0 <= order <= a.order:
-        raise ValueError(f"cannot truncate order-{a.order} series to order {order}")
-    return TruncatedSeries(a.coeffs[: order + 1])
 
 
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:

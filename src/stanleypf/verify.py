@@ -65,7 +65,6 @@ from .series_core import (
     series_dilate,
     series_monomial,
     series_mul,
-    series_truncate,
 )
 
 DEFAULT_ORDER = 200
@@ -428,7 +427,7 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             "comb/even-hook-partitions-equal-t",
             enum_bound,
             even_counts,
-            list(stanley.table_from_dp(enum_bound).t),
+            stanley.table_from_dp(enum_bound).t,
         ),
         _values_equal(
             "comb/odd-hook-partitions-count-even",
@@ -440,7 +439,7 @@ def _combinatorial_sweep(enum_bound: int, corner_bound: int) -> list[Verificatio
             "comb/signed-hook-count-equals-f",
             enum_bound,
             [e - o for e, o in zip(even_counts, odd_counts)],
-            list(stanley.f_series(enum_bound).coeffs),
+            stanley.f_series(enum_bound).coeffs,
         ),
         _report("comb/u-partitions-pair-under-conjugation", enum_bound, pairing_failure),
     ]
@@ -546,42 +545,33 @@ def suite_series(
     closed-form agreement, progression extraction, and the triple-product
     family.
 
-    The closed forms for t and u are expanded once, to the larger of order
-    and oracle_bound, and every check compares them by prefix, to the
-    shorter order of its two sides. If p(n) + f(n) is odd, the half-sum t
-    has no coefficient at n. Each check that reads it then fails at n with
-    no lhs value, unless an earlier coefficient already differs, and every
-    other check still reports."""
+    The closed forms for t and u are expanded once, to max(order,
+    oracle_bound, 2). Every check compares coefficient tuples by prefix:
+    the DP rows to oracle_bound (p to at most 40), the two t's to order,
+    and each progression to the shorter order of its two sides. If p(n) +
+    f(n) is odd, the half-sum t has no coefficient at n. Each check that
+    reads it then fails at n with no lhs value, unless an earlier
+    coefficient already differs, and every other check still reports."""
     dp_table = stanley.table_from_dp(oracle_bound)
     top = max(order, oracle_bound, 2)
-    t_andrews = stanley.t_series_andrews(top)
+    t_andrews = stanley.t_series_andrews(top).coeffs
     try:
         t_half_sum = stanley.t_series_half_sum(top).coeffs
     except stanley.IdentityError as exc:
         t_half_sum = exc.halved + (None,)
     u = stanley.u_series(top)
+    p_bound = min(40, oracle_bound)
     reports = [
-        assert_series_equal(
-            "series/p-series-vs-partition-count",
-            TruncatedSeries(dp_table.p[: min(40, oracle_bound) + 1]),
-            stanley.p_series(min(40, oracle_bound)),
-        ),
-        assert_series_equal("series/u-product-vs-enumeration", u, TruncatedSeries(dp_table.u)),
-        assert_series_equal(
-            "series/t-eta-quotient-vs-enumeration", t_andrews, TruncatedSeries(dp_table.t)
-        ),
-        _values_equal("series/t-half-sum-vs-enumeration", oracle_bound, t_half_sum, dp_table.t),
-        assert_series_equal(
-            "series/f-product-vs-enumeration",
-            stanley.f_series(oracle_bound),
-            TruncatedSeries(dp_table.f),
-        ),
         _values_equal(
-            "series/t-half-sum-vs-eta-quotient",
-            order,
-            t_half_sum,
-            series_truncate(t_andrews, order).coeffs,
+            "series/p-series-vs-partition-count", p_bound, dp_table.p, stanley.p_series(p_bound).coeffs
         ),
+        _values_equal("series/u-product-vs-enumeration", oracle_bound, u.coeffs, dp_table.u),
+        _values_equal("series/t-eta-quotient-vs-enumeration", oracle_bound, t_andrews, dp_table.t),
+        _values_equal("series/t-half-sum-vs-enumeration", oracle_bound, t_half_sum, dp_table.t),
+        _values_equal(
+            "series/f-product-vs-enumeration", oracle_bound, stanley.f_series(oracle_bound).coeffs, dp_table.f
+        ),
+        _values_equal("series/t-half-sum-vs-eta-quotient", order, t_half_sum, t_andrews[: order + 1]),
     ]
     # the i=0 progression carries a q^2 prefactor, so it needs order >= 2
     n_prog = min(DEFAULT_PROGRESSION_BOUND, (order - 3) // 4)

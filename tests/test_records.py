@@ -32,6 +32,23 @@ class TestTruncatedSeries:
         assert TruncatedSeries([1, 0, -1]).coeffs == (1, 0, -1)
         assert type(TruncatedSeries(x for x in (1, 2)).coeffs) is tuple
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda s: s * 2.0,
+            lambda s: 2.0 * s,
+            lambda s: s + 1,
+            lambda s: 1 + s,
+            lambda s: s - 1,
+            lambda s: 1 - s,
+            lambda s: s * (1, 2),
+        ],
+        ids=["s*2.0", "2.0*s", "s+1", "1+s", "s-1", "1-s", "s*tuple"],
+    )
+    def test_arithmetic_with_a_non_series_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(TruncatedSeries((1, 2, 3)))
+
     def test_repr(self):
         assert repr(TruncatedSeries((1, -1, 0))) == "TruncatedSeries([1, -1, 0], order=2)"
         assert repr(TruncatedSeries(range(10))) == (

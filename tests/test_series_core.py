@@ -18,7 +18,6 @@ from stanleypf.series_core import (
     series_mul,
     series_one,
     series_reciprocal,
-    series_truncate,
 )
 
 QQ = ProductSpec(((-1, 1, 1, 1),))  # (q; q)
@@ -81,11 +80,6 @@ class TestArithmetic:
 
     def test_scalar_multiplication(self):
         assert (2 * series(1, -3)).coeffs == (2, -6)
-
-    def test_truncate(self):
-        assert series_truncate(series(1, 2, 3, 4), 1).coeffs == (1, 2)
-        with pytest.raises(ValueError):
-            series_truncate(series(1, 2), 5)
 
 
 class TestReciprocal:
@@ -509,8 +503,8 @@ class TestRingLaws:
         m = min(a.order, b.order)
         k = min(n, m)
         wide = series_mul(a, b)
-        narrow = series_mul(series_truncate(a, k), series_truncate(b, k))
-        assert series_truncate(wide, k) == narrow
+        narrow = series_mul(TruncatedSeries(a.coeffs[: k + 1]), TruncatedSeries(b.coeffs[: k + 1]))
+        assert wide.coeffs[: k + 1] == narrow.coeffs
 
 
 @pytest.mark.parametrize("k", range(0, 4))

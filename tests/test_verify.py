@@ -754,6 +754,15 @@ class TestHalfSumFaultInjection:
             "series/t-half-sum-vs-eta-quotient": (40, 30, None, stanley.t_series_andrews(30)[30]),
         }
 
+    def test_odd_coefficient_past_the_order(self, perturb_f):
+        # with oracle_bound above order the closed forms run to 60: q^50 lies
+        # within the DP oracle's n <= 60 but past the eta-quotient row's 40
+        perturb_f({50: 1})
+        assert _failures(suite_series(order=40, oracle_bound=60)) == {
+            "series/f-product-vs-enumeration": (60, 50, -56521, -56522),
+            "series/t-half-sum-vs-enumeration": (60, 50, None, 73852),
+        }
+
 
 def _failures(reports):
     """Check name -> (bound, index, lhs, rhs) for every failing report."""
