@@ -13,14 +13,15 @@ fields, in their order, so a field added there needs no edit here. JSON
 writes an int of 53 bits or more as a decimal string; CSV writes None as
 an empty cell and a bool as true or false.
 
+No table or listing is held whole. A text or CSV table is written in
+blocks of TABLE_BLOCK_ROWS rows, each text column as wide as its header,
+largest or smallest value; a JSON table is written a column at a time.
 A partition listing renders the stream of entries that
-partitions._partition_entries makes, each hook row once per suffix of a
-partition, not once per partition; cmd_partition only renders and writes
-it. A text listing is streamed: it is written in blocks of
-LISTING_BLOCK_ENTRIES partitions while they are enumerated, so it is never
-held whole and costs a few writes, not one per line. A JSON listing is one
-document and holds the whole list, its entries sharing the hook rows they
-have in common.
+partitions._partition_entries makes, each suffix's parts and hook rows
+once, not once per partition, so an entry is one concatenation; in either
+format it is written in blocks of LISTING_BLOCK_ENTRIES partitions while
+they are enumerated. Each costs a few writes, not one per line, and its
+bytes are those of the whole document: print per line, or json.dumps.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a failed
 check; an internal identity failing on computed values shows as failed
@@ -70,7 +71,8 @@ EXIT_IO = 3
 
 CACHE_ENV_VAR = "STANLEYPF_CACHE"
 PARTITION_LISTING_CAP = 30  # p(30) = 5604 partitions is the useful terminal ceiling
-LISTING_BLOCK_ENTRIES = 256  # partitions per write of a text partition listing
+LISTING_BLOCK_ENTRIES = 256  # partitions per write of a partition listing
+TABLE_BLOCK_ROWS = 256  # rows per write of a text or CSV table
 BRUTE_FORCE_CAP = 70  # table --oracle enumerates every partition of n <= --max
 ENUM_BOUND_CAP = 45  # verify's combinatorial pass visits every partition of n <= --enum-bound
 ORACLE_BOUND_CAP = 1000  # verify's series suites run the partition DP to --oracle-bound
@@ -194,6 +196,20 @@ def _stat_values(args, stat: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, already checked by main
 
+def _write_blocks(out, pieces, size: int) -> None:
+    """Write an iterator of strings, size of them joined per write."""
+    for block in iter(lambda: "".join(islice(pieces, size)), ""):
+        out.write(block)
+
+
+def _write_json_columns(out, columns) -> None:
+    # json.dumps(columns), one column per write
+    out.write("{")
+    for i, (stat, values) in enumerate(columns.items()):
+        out.write(f'{", " if i else ""}{json.dumps(stat)}: {json.dumps([_json_coeff(v) for v in values])}')
+    out.write("}")
+
+
 def cmd_table(args, out) -> int:
     stats, max_n, oracle = args.stats, args.max_n, args.oracle
     columns = {s: _stat_values(args, s)[: max_n + 1] for s in stats}
@@ -204,29 +220,32 @@ def cmd_table(args, out) -> int:
     mismatch = any(columns[s] != oracle_columns[s] for s in oracle_columns)
     # indexed by stats, not by the dicts, so a repeated statistic keeps its columns
     cells = [columns[s] for s in stats] + ([oracle_columns[s] for s in stats] if oracle else [])
-    rows = ([n] + [col[n] for col in cells] for n in range(max_n + 1))
 
-    if args.output_format == "json":
-        doc = {"max_n": max_n, "columns": {s: [_json_coeff(v) for v in columns[s]] for s in stats}}
+    if args.output_format == "json":  # the bytes of json.dumps(doc), the dicts keyed once per statistic
+        out.write(f'{{"max_n": {max_n}, "columns": ')
+        _write_json_columns(out, columns)
         if oracle:
-            doc["oracle"] = {s: [_json_coeff(v) for v in oracle_columns[s]] for s in stats}
-            doc["match"] = not mismatch
-        print(json.dumps(doc), file=out)
+            out.write(', "oracle": ')
+            _write_json_columns(out, oracle_columns)
+            out.write(f', "match": {json.dumps(not mismatch)}')
+        out.write("}\n")
     elif args.output_format == "csv":
-        out.writelines(_csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
+        header = ["n", *stats, *(f"{s}_enum" for s in stats if oracle)]
+        _write_blocks(out, _csv_lines(header, zip(range(max_n + 1), *cells)), TABLE_BLOCK_ROWS)
     else:  # text: right-aligned columns, and a match marker per oracle row
-        k = len(stats)
         header = ["n", *stats]
         if oracle:
+            k = len(stats)
             header += [f"{s}.enum" for s in stats] + ["match"]
-        lines = [header]
-        for row in rows:
-            if oracle:
-                row.append("ok" if row[1 : k + 1] == row[k + 1 :] else "MISMATCH")
-            lines.append([str(cell) for cell in row])
-        widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-        for line in lines:
-            print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)), file=out)
+            cells.append(["ok" if row[:k] == row[k:] else "MISMATCH" for row in zip(*cells)])
+        # an int's printed width grows with its magnitude, so a column's widest
+        # value is its largest or its smallest; the match column holds at most
+        # two strings, so its min and max are both of them
+        widths = [max(len(head), len(str(min(col))), len(str(max(col))))
+                  for head, col in zip(header, [range(max_n + 1), *cells])]
+        line = "  ".join(f"%{w}s" for w in widths) + "\n"
+        out.write(line % tuple(header))
+        _write_blocks(out, map(line.__mod__, zip(range(max_n + 1), *cells)), TABLE_BLOCK_ROWS)
     return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
@@ -253,29 +272,34 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_partition(args, out) -> int:
-    n, show_hooks = args.n, args.show_hooks
-    if args.output_format == "json":  # one document, so the whole list is held
-        listing = []
-        for lam, odd, odd_conj, even_hooks, kind, rows in _partition_entries(
-            n, args.filter, (lambda row: row) if show_hooks else None
-        ):  # each row is one list, shared by every entry that holds it
-            entry = {"parts": list(lam), "odd_parts": odd, "odd_parts_conjugate": odd_conj,
-                     "even_hooks": even_hooks, "type": kind}
-            if show_hooks:
-                entry["hooks"] = rows
-            listing.append(entry)
-        print(json.dumps(listing), file=out)
-    else:  # streamed, a block of entries per write
-        # parts and hook lengths of a partition of n lie in 1..n
-        digits = [str(k) for k in range(n + 1)].__getitem__
-        render = (lambda row: f"    {' '.join(map(digits, row))}\n") if show_hooks else None
-        entries = (
-            f"({', '.join(map(digits, lam))})  O={odd} O'={odd_conj} He={even_hooks} type={kind}\n"
-            + "".join(rows)
-            for lam, odd, odd_conj, even_hooks, kind, rows in _partition_entries(n, args.filter, render)
-        )
-        for block in iter(lambda: "".join(islice(entries, LISTING_BLOCK_ENTRIES)), ""):
-            out.write(block)
+    n, show_hooks, as_json = args.n, args.show_hooks, args.output_format == "json"
+    # parts and hook lengths of a partition of n lie in 1..n
+    digits = [str(k) for k in range(n + 1)].__getitem__
+
+    def text_rows(row, below):  # one line per row
+        return f"    {' '.join(map(digits, row))}\n{below}"
+
+    def json_rows(row, below):  # json.dumps of the grid, without its outer brackets
+        row = f"[{', '.join(map(digits, row))}]"
+        return f"{row}, {below}" if below else row
+
+    entries = _partition_entries(n, args.filter, (json_rows if as_json else text_rows) if show_hooks else None)
+    if as_json:  # json.dumps of the list of entries, an entry at a time
+        def lines():
+            sep = "["
+            for parts, odd, odd_conj, even_hooks, kind, rows in entries:
+                yield (f'{sep}{{"parts": [{parts}], "odd_parts": {odd}, "odd_parts_conjugate": {odd_conj}, '
+                       f'"even_hooks": {even_hooks}, "type": "{kind}"'
+                       + (f', "hooks": [{rows}]}}' if show_hooks else "}"))
+                sep = ", "
+            yield "[]\n" if sep == "[" else "]\n"
+
+        _write_blocks(out, lines(), LISTING_BLOCK_ENTRIES)
+    else:
+        _write_blocks(out, (
+            f"({parts})  O={odd} O'={odd_conj} He={even_hooks} type={kind}\n{rows}"
+            for parts, odd, odd_conj, even_hooks, kind, rows in entries
+        ), LISTING_BLOCK_ENTRIES)
     return EXIT_OK
 
 
@@ -361,8 +385,8 @@ def cmd_export(args, out) -> int:
 COMMON_OPTIONS = (
     ("--order", "order", int, verify.DEFAULT_ORDER, None, False,
      f"series truncation order (default %(default)s, at most {ORDER_CAP}); at the "
-     "cap, a table of p,t,u,f takes about 1 s, verify --suite series "
-     "about 1.5 s and --suite all about 4.5 s"),
+     "cap, a table of p,t,u,f takes about 0.7 s and 19 MB (21 MB as JSON), "
+     "verify --suite series about 1.5 s and --suite all about 4.5 s"),
     ("--enum-bound", "enum_bound", int, verify.DEFAULT_ENUM_BOUND, None, False,
      "exhaustive combinatorial bound (default %(default)s); the pass walks "
      "every partition of n <= the bound, about 0.03 s at 25 and 0.7 s and "
@@ -389,7 +413,7 @@ COMMANDS = {
     "partition": ("list partitions of n with statistics", (
         ("--n", "n", int, None, None, True,
          f"the number to partition, at most {PARTITION_LISTING_CAP}; at the cap the "
-         "listing holds 5,604 partitions and takes about 0.1 s with --show-hooks"),
+         "listing holds 5,604 partitions and takes about 0.1 s and 15 MB with --show-hooks"),
         ("--filter", "filter", None, "all", ("all", "t", "u"), False, None),
         ("--show-hooks", "show_hooks", bool, False, None, False, "print the hook-length grid per partition"),
     )),

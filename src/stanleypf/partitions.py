@@ -128,37 +128,42 @@ def _suffix_walk(n_max: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, 
 
 
 def _partition_entries(n: int, kind_filter: str, render):
-    """(lam, O, O', He, type, hook rows) for each partition of n the listing
-    keeps, in decreasing lex order. Each row is render(its hook lengths);
-    render None leaves the rows out.
+    """(parts, O, O', He, type, hook rows) for each partition of n the
+    listing keeps, in decreasing lex order. parts is the parts written out,
+    ", "-separated. The hook rows are one value made bottom row first: the
+    empty partition's is "", and x.mu's is render(its first row of hook
+    lengths, the value of mu); render None leaves them "".
 
     Hook (i, j) = lam_i - j + #{k >= i : lam_k >= j} reads only the suffix
     (lam_i, lam_i+1, ...), so the grid of lam = x.mu is one new row on top of
-    the grid of mu = lam[1:]. Each suffix's entry (parts, rows, He, O, O' and
-    its first row of hook lengths) is made once, from the entry of its own
-    tail: with m = mu_1, the first row of x.mu is that of mu plus x - m + 1,
-    then x - m, ..., 1, since lam'_j = mu'_j + 1 for j <= m and 1 beyond. He
-    gains the even hooks of the new row, O gains x & 1 and O' becomes
-    x - O(mu'), so the type comes from the parts and He from the hook
-    lengths, neither from the other, and nothing is conjugated.
+    the grid of mu = lam[1:]. Each suffix's entry (parts, rows, He, O, O',
+    first part, first row and the even hooks in it) is made once, from the
+    entry of its own tail: with m = mu_1, the first row of x.mu is that of mu
+    plus x - m + 1, then x - m, ..., 1, since lam'_j = mu'_j + 1 for j <= m
+    and 1 beyond. An even shift keeps each hook's parity and an odd one flips
+    it, so with e the even hooks of mu's first row, the new row holds e or
+    m - e over its first m cells and floor((x - m) / 2) beyond: He gains
+    that many in O(1). O gains x & 1 and O' becomes x - O(mu'), so the type comes
+    from the parts and He from the hook lengths, neither from the other, and
+    nothing is conjugated. An entry's parts and rows are one concatenation
+    onto its tail's, so each is rendered once per suffix, not per partition.
 
     A suffix mu recurs only inside a longer suffix y.mu with y >= mu_1,
     which fits in n only when |mu| + 2 mu_1 <= n, so only those entries are
     kept; and once the first part falls below mu_1, mu cannot recur, so the
     entries under each first part are dropped as the listing passes it.
     """
-    odd_bit = (1).__and__
 
     def extend(x, entry):
-        parts, rows, even_hooks, odd, odd_conj, row = entry
-        m = len(row)
-        row = [*map((x - m + 1).__add__, row), *range(x - m, 0, -1)]
-        even_hooks += x - sum(map(odd_bit, row))
+        parts, rows, even_hooks, odd, odd_conj, m, row, row_even = entry
+        row_even = (row_even if (x - m) & 1 else m - row_even) + (x - m) // 2
         if render is not None:
-            rows = [render(row), *rows]
-        return (x, *parts), rows, even_hooks, odd + (x & 1), x - odd_conj, row
+            row = [*map((x - m + 1).__add__, row), *range(x - m, 0, -1)]
+            rows = render(row, rows)
+        parts = f"{x}, {parts}" if m else str(x)
+        return parts, rows, even_hooks + row_even, odd + (x & 1), x - odd_conj, x, row, row_even
 
-    empty = [((), (), 0, 0, 0, ())]
+    empty = [("", "", 0, 0, 0, 0, (), 0)]
     kept = [{} for _ in range(n + 1)]  # y -> {m: entries of the partitions of m led by y}
 
     def tails(m, cap):
@@ -181,10 +186,10 @@ def _partition_entries(n: int, kind_filter: str, render):
             for entry in tails(n - x, x):
                 yield extend(x, entry)
 
-    for lam, rows, even_hooks, odd, odd_conj, _ in listing() if n else empty:
+    for parts, rows, even_hooks, odd, odd_conj, _, _, _ in listing() if n else empty:
         kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
         if kind_filter == "all" or kind == kind_filter:
-            yield lam, odd, odd_conj, even_hooks, kind, rows
+            yield parts, odd, odd_conj, even_hooks, kind, rows
 
 
 def conjugate(lam: Sequence[int]) -> tuple[int, ...]:

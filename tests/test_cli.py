@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import namedtuple
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -105,6 +106,150 @@ class TestTable:
                            "--cache", str(tmp_path))
         assert code == 2
         assert os.listdir(tmp_path) == []
+
+
+def reference_cmd_table(args, out) -> int:
+    """cli.cmd_table as it stood when it built each table whole before
+    writing it, copied verbatim apart from the cli. prefixes: the byte
+    reference of the streamed writers."""
+    stats, max_n, oracle = args.stats, args.max_n, args.oracle
+    columns = {s: cli._stat_values(args, s)[: max_n + 1] for s in stats}
+    oracle_columns = {}
+    if oracle:
+        enum = stanley.table_from_enumeration(max_n)
+        oracle_columns = {s: list(getattr(enum, s)) for s in stats}
+    mismatch = any(columns[s] != oracle_columns[s] for s in oracle_columns)
+    # indexed by stats, not by the dicts, so a repeated statistic keeps its columns
+    cells = [columns[s] for s in stats] + ([oracle_columns[s] for s in stats] if oracle else [])
+    rows = ([n] + [col[n] for col in cells] for n in range(max_n + 1))
+
+    if args.output_format == "json":
+        doc = {"max_n": max_n, "columns": {s: [_json_coeff(v) for v in columns[s]] for s in stats}}
+        if oracle:
+            doc["oracle"] = {s: [_json_coeff(v) for v in oracle_columns[s]] for s in stats}
+            doc["match"] = not mismatch
+        print(json.dumps(doc), file=out)
+    elif args.output_format == "csv":
+        out.writelines(cli._csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
+    else:  # text: right-aligned columns, and a match marker per oracle row
+        k = len(stats)
+        header = ["n", *stats]
+        if oracle:
+            header += [f"{s}.enum" for s in stats] + ["match"]
+        lines = [header]
+        for row in rows:
+            if oracle:
+                row.append("ok" if row[1 : k + 1] == row[k + 1 :] else "MISMATCH")
+            lines.append([str(cell) for cell in row])
+        widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+        for line in lines:
+            print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)), file=out)
+    return cli.EXIT_VERIFY_FAIL if mismatch else cli.EXIT_OK
+
+
+class CountingOut(io.StringIO):
+    """A stream that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+class Discard:
+    def write(self, s):
+        return len(s)
+
+
+def table_args(argv):
+    # the namespace main hands cmd_table, which splits the statistics first
+    args = cli._parse_exact(argv)
+    args.stats = args.stats.split(",")
+    return args
+
+
+class TestStreamedTable:
+    """cmd_table writes each table in pieces; the bytes and the exit code must
+    be those of reference_cmd_table, which builds the table whole."""
+
+    @staticmethod
+    def _same_as_reference(capsys, monkeypatch, *argv):
+        got = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "cmd_table", reference_cmd_table)
+            assert run(capsys, *argv) == got
+        return got
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+    @pytest.mark.parametrize("stats", ["p,t,u,f", "t,t", "u,t,u", "f"])
+    def test_small_tables_and_the_oracle(self, capsys, monkeypatch, stats, output_format):
+        # f's negative values, a single row, repeated statistics, and the
+        # oracle's columns and match markers
+        for max_n in ("0", "1", "9"):
+            for oracle in ([], ["--oracle"]):
+                code, _, _ = self._same_as_reference(
+                    capsys, monkeypatch, "table", "--stats", stats, "--max", max_n, "--format", output_format, *oracle)
+                assert code == 0
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+    @pytest.mark.parametrize("stats", ["p,t,u,f", "u,t,u"])
+    def test_a_planted_oracle_mismatch(self, capsys, monkeypatch, stats, output_format):
+        real = stanley.table_from_enumeration
+
+        def planted(max_n):  # t off by one at n = 3 and f's signs flipped
+            table = real(max_n)
+            return table._replace(t=tuple(v + (n == 3) for n, v in enumerate(table.t)),
+                                  f=tuple(-v for v in table.f))
+
+        monkeypatch.setattr(stanley, "table_from_enumeration", planted)
+        code, _, _ = self._same_as_reference(
+            capsys, monkeypatch, "table", "--stats", stats, "--max", "9", "--format", output_format, "--oracle")
+        assert code == 1
+
+    @pytest.mark.parametrize("output_format", ["text", "csv", "json"])
+    def test_values_past_53_bits(self, capsys, monkeypatch, tmp_path, output_format):
+        # p(400) is about 6.9e18, so JSON writes the largest values as
+        # strings and text widens the columns; the second run reads the cache
+        assert stanley.p_series(400).coeffs[400] > cli.JSON_SAFE_MAGNITUDE
+        for stats in ("p,t,u,f", "f,p,f"):
+            for _ in range(2):
+                code, _, _ = self._same_as_reference(
+                    capsys, monkeypatch, "table", "--stats", stats, "--max", "400", "--order", "400",
+                    "--format", output_format, "--cache", str(tmp_path))
+                assert code == 0
+
+    @pytest.fixture(scope="class")
+    def order_2000_cache(self, tmp_path_factory):
+        cache = str(tmp_path_factory.mktemp("cache"))
+        with redirect_stdout(io.StringIO()):
+            assert main(["table", "--max", "2000", "--order", "2000", "--format", "csv", "--cache", cache]) == 0
+        return cache
+
+    @pytest.mark.parametrize("output_format, limit_mb", [("text", 1.0), ("csv", 1.0), ("json", 1.2)])
+    def test_cached_table_is_written_in_a_few_blocks_and_stays_small(self, order_2000_cache, output_format, limit_mb):
+        # built whole, the text table peaked at 1.36 MB and the JSON one at
+        # 2.03 MB; streamed, each holds about what the CSV table does, the
+        # four cached columns and a block
+        argv = ["table", "--stats", "p,t,u,f", "--max", "2000", "--order", "2000",
+                "--format", output_format, "--cache", order_2000_cache]
+        out = CountingOut()
+        assert cli.cmd_table(table_args(argv), out) == 0
+        text = out.getvalue()
+        assert text.count("\n") == (1 if output_format == "json" else 2002)
+        # a per-row write would make 2,002 calls; one write of it all would hold it in memory
+        assert len(out.sizes) <= 16
+        assert max(out.sizes) <= len(text) // 3
+        args = table_args(argv)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_table(args, Discard()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
 
 class TestVerifyCommand:
@@ -371,15 +516,45 @@ class TestPartitionCommand:
         assert code == 0
         self._check_against_reference(out, output_format, n, "all", True)
 
-    @pytest.mark.parametrize("output_format, limit_mb", [("text", 1.5), ("json", 13.4)])
-    def test_listing_at_the_cap_stays_small_in_memory(self, output_format, limit_mb):
-        # a text listing is streamed, so its peak must not grow with the
-        # listing; a JSON one is held whole, with hook rows shared by the
-        # partitions that hold them (13.4 MB when each entry built its own)
-        class Discard:
-            def write(self, s):
-                return len(s)
+    @pytest.mark.parametrize("kind_filter", ["all", "t", "u"])
+    def test_json_listing_is_the_dumps_of_its_entries(self, capsys, kind_filter):
+        # the streamed JSON listing, byte for byte, against json.dumps of the
+        # whole list built from each entry's definitions; n = 0 under --filter
+        # u is the empty list
+        for n in range(15):
+            for show_hooks in (False, True):
+                listing = []
+                for lam in partitions_of(n):
+                    s = classify(lam)
+                    kind = "t" if s.is_t_type else "u"
+                    if kind_filter not in ("all", kind):
+                        continue
+                    entry = {"parts": list(lam), "odd_parts": s.odd_parts,
+                             "odd_parts_conjugate": s.odd_parts_conjugate, "even_hooks": s.even_hooks,
+                             "type": kind}
+                    if show_hooks:
+                        entry["hooks"] = [
+                            [row - j + sum(1 for p in lam if p >= j) - i + 1 for j in range(1, row + 1)]
+                            for i, row in enumerate(lam, 1)]
+                    listing.append(entry)
+                argv = ["partition", "--n", str(n), "--filter", kind_filter, "--format", "json"]
+                code, out, _ = run(capsys, *argv, *(["--show-hooks"] if show_hooks else []))
+                assert (code, out) == (0, json.dumps(listing) + "\n"), (n, show_hooks)
 
+    def test_json_listing_is_written_in_a_few_blocks(self):
+        out = CountingOut()
+        args = cli._parse_exact(["partition", "--n", "30", "--show-hooks", "--format", "json"])
+        assert cli.cmd_partition(args, out) == 0
+        text = out.getvalue()
+        assert len(json.loads(text)) == 5604
+        assert len(out.sizes) <= 64
+        assert max(out.sizes) <= len(text) // 4
+
+    @pytest.mark.parametrize("output_format, limit_mb", [("text", 1.5), ("json", 1.5)])
+    def test_listing_at_the_cap_stays_small_in_memory(self, output_format, limit_mb):
+        # both listings are streamed, so neither peak may grow with the
+        # listing (0.75 MB for text and 0.81 MB for JSON; the JSON listing
+        # held whole peaked at 9.26 MB)
         args = cli._build_parser().parse_args(
             ["partition", "--n", "30", "--show-hooks", "--format", output_format])
         tracemalloc.start()

@@ -102,11 +102,11 @@ class TestPartitionEntries:
     def test_statistics_match_suffix_walk(self):
         # two derivations of He and O': the listing's, from each suffix's
         # hook row and parts, and the walk's, from the column parities a and
-        # the tail's O'
+        # the tail's O'; the listing writes the parts out, ", "-separated
         walked = {}
         for n, lam, _conj, odd, odd_conj, even_hooks, _a in _suffix_walk(20):
             kind = "t" if (odd - odd_conj) % 4 == 0 else "u"
-            walked.setdefault(n, []).append((lam, odd, odd_conj, even_hooks, kind))
+            walked.setdefault(n, []).append((", ".join(map(str, lam)), odd, odd_conj, even_hooks, kind))
         for n in range(21):
             listed = [entry[:5] for entry in _partition_entries(n, "all", None)]
             assert listed == walked[n], n
