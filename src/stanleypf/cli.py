@@ -320,6 +320,8 @@ def _indexed_values(lines, sep: str, kind: str) -> list[int]:
     values = []
     for line in lines:
         n, v = line.split(sep)
+        if not (_is_decimal(n) and _is_decimal(v)):
+            raise ValueError(f"{kind} indices and values must be decimal integers, got {line!r}")
         if int(n) != len(values):
             raise ValueError(f"{kind} indices must start at 0 and be contiguous")
         values.append(int(v))
@@ -394,7 +396,7 @@ COMMON_OPTIONS = (
     ("--oracle-bound", "oracle_bound", int, verify.DEFAULT_ORACLE_BOUND, None, False,
      "bound of the partition-DP cross-check in verify and of "
      "the brute force in table --oracle (default %(default)s); the DP takes "
-     f"about 0.1 s at 300 and 1 s at verify's cap of {ORACLE_BOUND_CAP}"),
+     f"about 0.01 s at 300 and 0.1 s at verify's cap of {ORACLE_BOUND_CAP}"),
     ("--format", "output_format", None, "text", FORMATS, False, "output format (default %(default)s)"),
     ("--cache", "cache", None, None, None, False, f"coefficient cache directory (or ${CACHE_ENV_VAR})"),
 )

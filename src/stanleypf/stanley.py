@@ -6,7 +6,7 @@ is the signed count. Each function is computed by two independent routes:
 
 * combinatorially, from the odd-part counts alone, in one of two ways:
   a dynamic programme over part sizes that counts p(n) and t(n) for all
-  n <= N in O(N^2 log N) additions (``table_from_dp``, the oracle of
+  n <= N in O(N^2) additions (``table_from_dp``, the oracle of
   ``verify``), or brute force, streaming every partition of n
   (``table_from_enumeration``, the tier-1 reference and ``table --oracle``);
 * generating functions, as exact product expansions:
@@ -221,34 +221,29 @@ def table_from_enumeration(max_n: int) -> StanleyTable:
     return _table_from_counts(max_n, p, t)
 
 
-def _odd_count_shift(k: int, m: int, c: int) -> int:
-    """Change in O(lambda) - O(lambda') from appending m parts equal to k to
-    a partition with c parts so far (only c mod 2 matters).
+def _odd_count_shift(k: int, c: int) -> int:
+    """Change in O(lambda) - O(lambda') from appending one part equal to k
+    to a partition with c parts so far (only c mod 2 matters).
 
-    O(lambda) gains m (k & 1). O(lambda') = lam_1 - lam_2 + lam_3 - ...
-    gains nothing when m is even; when m is odd it gains +k if the first new
-    part sits at an odd position (c even) and -k otherwise.
+    O(lambda) gains k & 1. O(lambda') = lam_1 - lam_2 + lam_3 - ... gains
+    +k if the new part sits at an odd position (c even) and -k otherwise.
     """
-    shift = m * (k & 1)
-    if m & 1:
-        shift += k if c & 1 else -k
-    return shift
+    return (k & 1) + (k if c & 1 else -k)
 
 
 def table_from_dp(max_n: int) -> StanleyTable:
     """Count p(n) and t(n) for every n <= max_n in one dynamic programme.
 
-    Part sizes k = max_n, ..., 1 are taken in descending order, each with a
-    multiplicity m, so parts are appended in the order lam_1 >= lam_2 >= ...
-    ``_odd_count_shift`` is always even (pinned by
+    Part sizes k = max_n, ..., 1 are taken in descending order, and parts
+    of size k are added one at a time, so parts are appended in the order
+    lam_1 >= lam_2 >= ... ``_odd_count_shift`` is always even (pinned by
     ``TestPartitionDP::test_odd_count_shift_is_even`` in
     ``tests/test_stanley.py``), so O(lambda) - O(lambda') is even at every
     step. The state is therefore (weight, number of parts mod 2, (O(lambda)
     - O(lambda')) / 2 mod 2), four lists, and a partition is t-type when the
-    last is 0. That costs
-    O(max_n^2 log max_n) big-integer additions; no partition is visited and
-    no series is expanded, so the counts are independent of both the
-    brute-force stream and the generating functions.
+    last is 0. That costs O(max_n^2) big-integer additions; no partition is
+    visited and no series is expanded, so the counts are independent of both
+    the brute-force stream and the generating functions.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
@@ -258,15 +253,17 @@ def table_from_dp(max_n: int) -> StanleyTable:
     counts = [[0] * size for _ in range(4)]
     counts[0][0] = 1
     for k in range(max_n, 0, -1):
-        extended = [[0] * size for _ in range(4)]
-        for m in range(max_n // k + 1):
-            offset = m * k
-            for c in (0, 1):
-                flip = (_odd_count_shift(k, m, c) >> 1) & 1
-                for h in (0, 1):
-                    dst = extended[2 * (c ^ (m & 1)) + (h ^ flip)]
-                    dst[offset:] = map(add, dst[offset:], counts[2 * c + h][: size - offset])
-        counts = extended
+        # one more part k takes state (c, h) to (c ^ 1, h ^ flip)
+        moves = []
+        for c in (0, 1):
+            flip = (_odd_count_shift(k, c) >> 1) & 1
+            for h in (0, 1):
+                moves.append((counts[2 * c + h], counts[2 * (c ^ 1) + (h ^ flip)]))
+        # weights in blocks of k, ascending: each block reads only the block
+        # below it, which is already final for this k
+        for i in range(k, size, k):
+            for src, dst in moves:
+                dst[i : i + k] = map(add, dst[i : i + k], src[i - k : i])
     p = [sum(col) for col in zip(*counts)]
     t = [even + odd for even, odd in zip(counts[0], counts[2])]
     return _table_from_counts(max_n, p, t)

@@ -624,6 +624,23 @@ class TestExport:
         with pytest.raises(ValueError):
             parse_csv(text)
 
+    @pytest.mark.parametrize("row", [
+        "0,1_0",  # int() reads 10
+        " 0, +3",  # int() reads 3
+        "0,١",  # an Arabic-Indic digit: int() reads 1
+        "0_0,1",
+        "٠,1",
+    ])
+    def test_csv_index_and_value_must_be_decimal(self, row):
+        # as parse_json_export and cache_load do, only what str(int) writes
+        with pytest.raises(ValueError, match="decimal"):
+            parse_csv(f"n,p\n{row}\n")
+
+    @pytest.mark.parametrize("row", ["0 1_0", "0 +3", "0 ١", "+0 1", "٠ 1"])
+    def test_bfile_index_and_value_must_be_decimal(self, row):
+        with pytest.raises(ValueError, match="decimal"):
+            parse_bfile(f"{row}\n")
+
     @pytest.mark.parametrize("text", [
         '{"stat": "p", "offset": 0, "values": [1, 1.5]}',
         '{"stat": "p", "offset": 0, "values": [1, true]}',

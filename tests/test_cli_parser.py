@@ -50,7 +50,7 @@ def reference_parser() -> argparse.ArgumentParser:
     common.add_argument("--oracle-bound", type=int, default=verify.DEFAULT_ORACLE_BOUND,
                         help="bound of the partition-DP cross-check in verify and of "
                              "the brute force in table --oracle (default 60); the DP takes "
-                             f"about 0.1 s at 300 and 1 s at verify's cap of {ORACLE_BOUND_CAP}")
+                             f"about 0.01 s at 300 and 0.1 s at verify's cap of {ORACLE_BOUND_CAP}")
     common.add_argument("--format", choices=FORMATS, default="text", dest="output_format",
                         help="output format (default text)")
     common.add_argument("--cache", default=None,

@@ -1,4 +1,5 @@
 import hashlib
+from operator import add
 
 import pytest
 
@@ -138,6 +139,45 @@ class TestStanleyTable:
         assert getattr(stanley.table_from_dp(4), "t") == (1, 1, 0, 1, 5)
 
 
+def _reference_odd_count_shift(k: int, m: int, c: int) -> int:
+    """Change in O(lambda) - O(lambda') from appending m parts equal to k to
+    a partition with c parts so far (only c mod 2 matters).
+
+    O(lambda) gains m (k & 1). O(lambda') = lam_1 - lam_2 + lam_3 - ...
+    gains nothing when m is even; when m is odd it gains +k if the first new
+    part sits at an odd position (c even) and -k otherwise.
+    """
+    shift = m * (k & 1)
+    if m & 1:
+        shift += k if c & 1 else -k
+    return shift
+
+
+def reference_table_from_dp(max_n: int) -> stanley.StanleyTable:
+    """The partition DP over part sizes and their multiplicities, as it stood
+    before parts were added one at a time; kept verbatim as a reference."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    size = max_n + 1
+    # counts[2 * c + h][w]: partitions of weight w into the parts taken so
+    # far, with c parts mod 2 and O(lambda) - O(lambda') = 2h mod 4
+    counts = [[0] * size for _ in range(4)]
+    counts[0][0] = 1
+    for k in range(max_n, 0, -1):
+        extended = [[0] * size for _ in range(4)]
+        for m in range(max_n // k + 1):
+            offset = m * k
+            for c in (0, 1):
+                flip = (_reference_odd_count_shift(k, m, c) >> 1) & 1
+                for h in (0, 1):
+                    dst = extended[2 * (c ^ (m & 1)) + (h ^ flip)]
+                    dst[offset:] = map(add, dst[offset:], counts[2 * c + h][: size - offset])
+        counts = extended
+    p = [sum(col) for col in zip(*counts)]
+    t = [even + odd for even, odd in zip(counts[0], counts[2])]
+    return stanley._table_from_counts(max_n, p, t)
+
+
 class TestPartitionDP:
     def test_equals_brute_force_to_sixty(self, enum_table_60):
         dp = stanley.table_from_dp(60)
@@ -160,15 +200,23 @@ class TestPartitionDP:
         with pytest.raises(ValueError, match="nonnegative"):
             stanley.table_from_dp(-1)
 
+    def test_equals_multiplicity_dp_to_three_hundred(self):
+        # every max_n, so each last block cut short by the table's end is
+        # read; the reference's columns do not depend on its max_n
+        ref = reference_table_from_dp(300)
+        assert reference_table_from_dp(7) == stanley.StanleyTable(7, *(col[:8] for col in ref[1:]))
+        for n in range(301):
+            assert stanley.table_from_dp(n) == stanley.StanleyTable(n, *(col[: n + 1] for col in ref[1:])), n
+
     def test_odd_count_shift_is_even(self):
         # the DP keeps (O - O') / 2 mod 2 only, which needs every shift even:
-        # for odd k, O gains m and O' gains +/-k exactly when m is odd
-        odd = [(k, m, c) for k in range(1, 61) for m in range(61) for c in (0, 1)
-               if stanley._odd_count_shift(k, m, c) % 2]
+        # for odd k, O gains 1 and O' gains +/-k
+        odd = [(k, c) for k in range(1, 61) for c in (0, 1) if stanley._odd_count_shift(k, c) % 2]
         assert odd == []
 
     def test_independent_of_series_and_stream(self):
         # the oracle must not share code with either route it checks
         code = stanley.table_from_dp.__code__.co_names + stanley._odd_count_shift.__code__.co_names
         assert not {"_parts_stream", "_suffix_walk", "_enumeration_counts", "eta_quotient", "expand_product",
-                    "series_mul", "series_reciprocal", "p_series"} & set(code)
+                    "series_mul", "series_reciprocal", "p_series", "_div_binomial", "_horner", "_mul_sparse",
+                    "_div_sparse"} & set(code)

@@ -689,18 +689,19 @@ class TestFaultInjection:
     def test_flipped_alternating_sign_in_dp(self, monkeypatch):
         real_shift = stanley._odd_count_shift
 
-        def flipped(k, m, c):
-            # an odd run starting at an even position adds +k, not -k, to O(lambda')
-            shift = real_shift(k, m, c)
-            return shift + 2 * k if m & 1 and c & 1 else shift
+        def flipped(k, c):
+            # a part at an even position adds +k, not -k, to O(lambda')
+            shift = real_shift(k, c)
+            return shift + 2 * k if c & 1 else shift
 
         monkeypatch.setattr(stanley, "_odd_count_shift", flipped)
         reports = _series_reports(oracle_bound=12)
         r = reports["series/t-eta-quotient-vs-enumeration"]
-        # (2, 1) is the first partition misread: O' = 2 + 1 instead of 2 - 1,
-        # so the DP gives t(3) = 0 against Andrews' 1
+        # (1, 1) is the first partition misread: O' = 1 + 1 instead of 1 - 1
+        # (mod 4, which is all the DP keeps), so the DP gives t(2) = 1
+        # against Andrews' 0
         assert not r.passed
-        assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (3, 1, 0, 12)
+        assert (r.first_failure_index, r.lhs_value, r.rhs_value, r.order_or_bound) == (2, 0, 1, 12)
         assert reports["series/p-series-vs-partition-count"].passed
         assert reports["series/t-half-sum-vs-eta-quotient"].passed
 
@@ -1128,8 +1129,8 @@ class TestHelperMutations:
         (series_core, "_horner", "offset + step * (n - 1), sign)", "offset + step * (n - 1), -sign)"),
         # the grid refined without spreading the coarse coefficients out
         (series_core, "expand_product", "finer[:: grid // fine] = c", "finer[: len(c)] = c"),
-        # O(lambda) left unchanged by m parts equal to k
-        (stanley, "_odd_count_shift", "shift = m * (k & 1)", "shift = 0"),
+        # O(lambda) left unchanged by a part equal to k
+        (stanley, "_odd_count_shift", "(k & 1) + (k if", "(k if"),
         # the alternating sum for O(lambda') started with the wrong sign
         (stanley, "_odd_count_shift", "k if c & 1 else -k", "-k if c & 1 else k"),
     ])
