@@ -13,15 +13,15 @@ fields, in their order, so a field added there needs no edit here. JSON
 writes an int of 53 bits or more as a decimal string; CSV writes None as
 an empty cell and a bool as true or false.
 
-No table or listing is held whole. A text or CSV table is written in
-blocks of TABLE_BLOCK_ROWS rows, each text column as wide as its header,
-largest or smallest value; a JSON table is written a column at a time.
-A partition listing renders the stream of entries that
-partitions._partition_entries makes, each suffix's parts and hook rows
-once, not once per partition, so an entry is one concatenation; in either
-format it is written in blocks of LISTING_BLOCK_ENTRIES partitions while
-they are enumerated. Each costs a few writes, not one per line, and its
-bytes are those of the whole document: print per line, or json.dumps.
+No table, export or listing is held whole. Each line-per-row output (text
+or CSV table, verify CSV, b-file or CSV export, text listing) is one %
+line format applied to each row, header first; a text table's column is as
+wide as its header, largest or smallest value. A partition listing renders
+partitions._partition_entries, each suffix's parts and hook rows once, so
+an entry is one concatenation. _write_blocks writes lines, and JSON listing
+entries, BLOCK_ROWS to a write as they are made; a JSON table is written a
+column at a time and a JSON export in one piece. The bytes are those of
+the whole document: print per line, or json.dumps.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (a failed
 check; an internal identity failing on computed values shows as failed
@@ -71,8 +71,7 @@ EXIT_IO = 3
 
 CACHE_ENV_VAR = "STANLEYPF_CACHE"
 PARTITION_LISTING_CAP = 30  # p(30) = 5604 partitions is the useful terminal ceiling
-LISTING_BLOCK_ENTRIES = 256  # partitions per write of a partition listing
-TABLE_BLOCK_ROWS = 256  # rows per write of a text or CSV table
+BLOCK_ROWS = 256  # rows, or listing entries, per write of a line-per-row output
 BRUTE_FORCE_CAP = 70  # table --oracle enumerates every partition of n <= --max
 ENUM_BOUND_CAP = 45  # verify's combinatorial pass visits every partition of n <= --enum-bound
 ORACLE_BOUND_CAP = 1000  # verify's series suites run the partition DP to --oracle-bound
@@ -96,10 +95,9 @@ def _json_coeff(value: int | None):
     return value if value is None or abs(value) < JSON_SAFE_MAGNITUDE else str(value)
 
 
-def _csv_lines(header, rows):
-    """Comma-separated lines, header first."""
-    for row in chain([header], rows):
-        yield ",".join(map(str, row)) + "\n"
+def _csv_line(k: int) -> str:
+    # the % line format of a CSV row of k cells
+    return ",".join(["%s"] * k) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +138,10 @@ def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
 
 
 def _is_decimal(value) -> bool:
-    # a str as str(int) writes one: ASCII digits after an optional "-";
-    # int() alone would also read "3_0", " 2", "+3" and non-ASCII digits
-    return type(value) is str and value.isascii() and value.removeprefix("-").isdigit()
+    # a str as str(int) writes one: "0", or an optional "-" and ASCII digits with
+    # no leading 0; int() would also read "007", "-0", "3_0", " +3" and "\u0663"
+    digits = value.removeprefix("-") if type(value) is str else ""
+    return digits.isascii() and digits.isdigit() and (digits[0] != "0" or value == "0")
 
 
 def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
@@ -196,9 +195,9 @@ def _stat_values(args, stat: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # commands: each takes the parsed arguments, already checked by main
 
-def _write_blocks(out, pieces, size: int) -> None:
-    """Write an iterator of strings, size of them joined per write."""
-    for block in iter(lambda: "".join(islice(pieces, size)), ""):
+def _write_blocks(out, pieces) -> None:
+    """Write an iterator of nonempty strings, BLOCK_ROWS of them joined per write."""
+    for block in iter(lambda: "".join(islice(pieces, BLOCK_ROWS)), ""):
         out.write(block)
 
 
@@ -229,23 +228,21 @@ def cmd_table(args, out) -> int:
             _write_json_columns(out, oracle_columns)
             out.write(f', "match": {json.dumps(not mismatch)}')
         out.write("}\n")
-    elif args.output_format == "csv":
-        header = ["n", *stats, *(f"{s}_enum" for s in stats if oracle)]
-        _write_blocks(out, _csv_lines(header, zip(range(max_n + 1), *cells)), TABLE_BLOCK_ROWS)
-    else:  # text: right-aligned columns, and a match marker per oracle row
-        header = ["n", *stats]
-        if oracle:
+    else:  # text or CSV: one line format for the header and every row
+        csv = args.output_format == "csv"
+        header = ("n", *stats, *(f"{s}{'_' if csv else '.'}enum" for s in stats if oracle))
+        if oracle and not csv:  # text adds a match marker per row
             k = len(stats)
-            header += [f"{s}.enum" for s in stats] + ["match"]
+            header += ("match",)
             cells.append(["ok" if row[:k] == row[k:] else "MISMATCH" for row in zip(*cells)])
-        # an int's printed width grows with its magnitude, so a column's widest
-        # value is its largest or its smallest; the match column holds at most
-        # two strings, so its min and max are both of them
-        widths = [max(len(head), len(str(min(col))), len(str(max(col))))
-                  for head, col in zip(header, [range(max_n + 1), *cells])]
-        line = "  ".join(f"%{w}s" for w in widths) + "\n"
-        out.write(line % tuple(header))
-        _write_blocks(out, map(line.__mod__, zip(range(max_n + 1), *cells)), TABLE_BLOCK_ROWS)
+        if csv:
+            line = _csv_line(len(header))
+        else:  # right-aligned: an int's printed width grows with its magnitude, so a
+            # column's widest value is its largest or its smallest; the match column
+            # holds at most two strings, so its min and max are both of them
+            line = "  ".join(f"%{max(len(head), len(str(min(col))), len(str(max(col))))}s"
+                             for head, col in zip(header, [range(max_n + 1), *cells])) + "\n"
+        _write_blocks(out, map(line.__mod__, chain([header], zip(range(max_n + 1), *cells))))
     return EXIT_VERIFY_FAIL if mismatch else EXIT_OK
 
 
@@ -261,8 +258,9 @@ def cmd_verify(args, out) -> int:
         entries = [{k: _json_coeff(v) if isinstance(v, int) else v for k, v in r.to_dict().items()} for r in reports]
         print(json.dumps({"suite": args.suite, "passed": passed, "reports": entries}), file=out)
     elif args.output_format == "csv":
-        rows = (["" if v is None else str(v).lower() if isinstance(v, bool) else v for v in r] for r in reports)
-        out.writelines(_csv_lines(verify.VerificationReport._fields, rows))
+        fields = verify.VerificationReport._fields
+        rows = (tuple("" if v is None else str(v).lower() if isinstance(v, bool) else v for v in r) for r in reports)
+        _write_blocks(out, map(_csv_line(len(fields)).__mod__, chain([fields], rows)))
     else:
         for r in reports:
             print(r.to_line(), file=out)
@@ -294,32 +292,40 @@ def cmd_partition(args, out) -> int:
                 sep = ", "
             yield "[]\n" if sep == "[" else "]\n"
 
-        _write_blocks(out, lines(), LISTING_BLOCK_ENTRIES)
+        _write_blocks(out, lines())
     else:
-        _write_blocks(out, (
-            f"({parts})  O={odd} O'={odd_conj} He={even_hooks} type={kind}\n{rows}"
-            for parts, odd, odd_conj, even_hooks, kind, rows in entries
-        ), LISTING_BLOCK_ENTRIES)
+        _write_blocks(out, map("(%s)  O=%s O'=%s He=%s type=%s\n%s".__mod__, entries))
     return EXIT_OK
 
 
+def _export_pieces(output_format: str, stat: str | None, values):
+    """An export's lines: what cmd_export writes in blocks and render_* join."""
+    if output_format == "json":  # one json.dumps of the column
+        return iter([json.dumps({"stat": stat, "offset": 0, "values": [_json_coeff(v) for v in values]}) + "\n"])
+    if output_format == "csv":  # the bytes of table --stats <stat> --format csv
+        return map(_csv_line(2).__mod__, chain([("n", stat)], enumerate(values)))
+    return map("%s %s\n".__mod__, enumerate(values))  # bfile, and text, which a b-file already is
+
+
 def render_bfile(values) -> str:
-    return "".join(f"{n} {v}\n" for n, v in enumerate(values))
+    return "".join(_export_pieces("bfile", None, values))
 
 
 def render_csv(stat: str, values) -> str:
-    return f"n,{stat}\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
+    return "".join(_export_pieces("csv", stat, values))
 
 
 def render_json(stat: str, values) -> str:
-    return json.dumps({"stat": stat, "offset": 0, "values": [_json_coeff(v) for v in values]}) + "\n"
+    return "".join(_export_pieces("json", stat, values))
 
 
 def _indexed_values(lines, sep: str, kind: str) -> list[int]:
     # "n<sep>value" rows whose indices run 0, 1, 2, ...
     values = []
     for line in lines:
-        n, v = line.split(sep)
+        if len(fields := line.split(sep)) != 2:
+            raise ValueError(f"{kind} rows must have two fields, an index and a value, got {line!r}")
+        n, v = fields
         if not (_is_decimal(n) and _is_decimal(v)):
             raise ValueError(f"{kind} indices and values must be decimal integers, got {line!r}")
         if int(n) != len(values):
@@ -359,22 +365,15 @@ def parse_json_export(text: str) -> list[int]:
 
 
 def cmd_export(args, out) -> int:
-    stat, out_path = args.stat, args.out
-    values = _stat_values(args, stat)[: args.max_n + 1]
-    if args.output_format == "csv":
-        rendered = render_csv(stat, values)
-    elif args.output_format == "json":
-        rendered = render_json(stat, values)
-    else:  # bfile, and text, which a b-file already is
-        rendered = render_bfile(values)
-    if out_path is None:
-        out.write(rendered)
+    pieces = _export_pieces(args.output_format, args.stat, _stat_values(args, args.stat)[: args.max_n + 1])
+    if args.out is None:  # an error on stdout is main's to report, as for any command
+        _write_blocks(out, pieces)
     else:
         try:
-            with open(out_path, "w") as fh:
-                fh.write(rendered)
+            with open(args.out, "w") as fh:
+                _write_blocks(fh, pieces)
         except OSError as exc:
-            raise OSError(f"cannot write {out_path!r}: {exc.strerror}") from exc
+            raise OSError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import namedtuple
 from contextlib import redirect_stdout
+from itertools import chain
 
 import pytest
 
@@ -108,10 +109,17 @@ class TestTable:
         assert os.listdir(tmp_path) == []
 
 
+def reference_csv_lines(header, rows):
+    """cli._csv_lines as it stood before every CSV row became a % line
+    format: the CSV layout of reference_cmd_table."""
+    for row in chain([header], rows):
+        yield ",".join(map(str, row)) + "\n"
+
+
 def reference_cmd_table(args, out) -> int:
     """cli.cmd_table as it stood when it built each table whole before
-    writing it, copied verbatim apart from the cli. prefixes: the byte
-    reference of the streamed writers."""
+    writing it, copied verbatim apart from the cli. prefixes and the name of
+    reference_csv_lines: the byte reference of the streamed writers."""
     stats, max_n, oracle = args.stats, args.max_n, args.oracle
     columns = {s: cli._stat_values(args, s)[: max_n + 1] for s in stats}
     oracle_columns = {}
@@ -130,7 +138,7 @@ def reference_cmd_table(args, out) -> int:
             doc["match"] = not mismatch
         print(json.dumps(doc), file=out)
     elif args.output_format == "csv":
-        out.writelines(cli._csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
+        out.writelines(reference_csv_lines(["n", *stats, *(f"{s}_enum" for s in stats if oracle)], rows))
     else:  # text: right-aligned columns, and a match marker per oracle row
         k = len(stats)
         header = ["n", *stats]
@@ -148,14 +156,16 @@ def reference_cmd_table(args, out) -> int:
 
 
 class CountingOut(io.StringIO):
-    """A stream that records the size of each write."""
+    """A stream that records the size and the line count of each write."""
 
     def __init__(self):
         super().__init__()
         self.sizes = []
+        self.lines = []
 
     def write(self, s):
         self.sizes.append(len(s))
+        self.lines.append(s.count("\n"))
         return super().write(s)
 
 
@@ -667,6 +677,180 @@ class TestExport:
         assert _json_coeff(big) == str(big)
         assert _json_coeff(2**53 - 1) == 2**53 - 1
         assert parse_json_export(render_json("p", [big, 3])) == [big, 3]
+
+    @pytest.mark.parametrize("text, kind", [
+        ("n,p\n0,1\n1", "CSV"),  # a row with no comma
+        ("n,p\n0,1\n1,1,2\n", "CSV"),
+        ("0 1 2\n", "b-file"),
+        ("0 1\n1\n", "b-file"),
+    ])
+    def test_a_row_must_have_two_fields(self, text, kind):
+        parse = parse_csv if kind == "CSV" else parse_bfile
+        row = text.splitlines()[-1]
+        with pytest.raises(ValueError, match=f"^{kind} rows must have two fields") as info:
+            parse(text)
+        assert repr(row) in str(info.value)
+
+
+def read_back(reader, index, value, tmp_path):
+    """The column reader's result for the one row (index, value), both
+    strings as they would stand in its format."""
+    if reader == "b-file":
+        return parse_bfile(f"{index} {value}\n")
+    if reader == "CSV":
+        return parse_csv(f"n,f\n{index},{value}\n")
+    if reader == "JSON":
+        assert index == "0"  # a JSON export has no index column
+        return parse_json_export(json.dumps({"stat": "f", "offset": 0, "values": [value]}))
+    assert index == "0"  # the cache keys its column by order: order 0 is one value
+    with open(cli._cache_file(str(tmp_path), "f", 0), "w") as fh:
+        json.dump({"version": stanleypf.__version__, "stat": "f", "order": 0, "values": [value]}, fh)
+    return cache_load(str(tmp_path), "f", 0)
+
+
+READERS = ("b-file", "CSV", "JSON", "cache")
+
+
+class TestOnlyWhatStrIntWrites:
+    """The export parsers and the cache read a number only as str(int)
+    writes it; int() also reads a leading zero and "-0"."""
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("value", ["0", "-7", "10", "-9007199254740993", str(2**64)])
+    def test_what_str_int_writes_is_read(self, tmp_path, reader, value):
+        assert read_back(reader, "0", value, tmp_path) == [int(value)]
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("value", ["00", "007", "-0", "-00", "-07"])
+    def test_a_leading_zero_or_minus_zero_value_is_refused(self, tmp_path, capsys, reader, value):
+        if reader == "cache":  # a corrupt entry: a warning, and a miss
+            assert read_back(reader, "0", value, tmp_path) is None
+            assert "corrupt cache" in capsys.readouterr().err
+        else:
+            with pytest.raises(ValueError, match="decimal"):
+                read_back(reader, "0", value, tmp_path)
+
+    @pytest.mark.parametrize("reader", ["b-file", "CSV"])
+    @pytest.mark.parametrize("index", ["00", "-0"])
+    def test_a_leading_zero_or_minus_zero_index_is_refused(self, tmp_path, reader, index):
+        with pytest.raises(ValueError, match="decimal"):
+            read_back(reader, index, "1", tmp_path)
+
+
+def reference_render_bfile(values) -> str:
+    return "".join(f"{n} {v}\n" for n, v in enumerate(values))
+
+
+def reference_render_csv(stat: str, values) -> str:
+    return f"n,{stat}\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values))
+
+
+def reference_render_json(stat: str, values) -> str:
+    return json.dumps({"stat": stat, "offset": 0, "values": [_json_coeff(v) for v in values]}) + "\n"
+
+
+def reference_cmd_export(args, out) -> int:
+    """cli.cmd_export and the three render functions above as they stood
+    when each export was rendered whole before it was written, copied
+    verbatim apart from the cli. prefixes and the reference_ names: the byte
+    reference of the streamed export."""
+    stat, out_path = args.stat, args.out
+    values = cli._stat_values(args, stat)[: args.max_n + 1]
+    if args.output_format == "csv":
+        rendered = reference_render_csv(stat, values)
+    elif args.output_format == "json":
+        rendered = reference_render_json(stat, values)
+    else:  # bfile, and text, which a b-file already is
+        rendered = reference_render_bfile(values)
+    if out_path is None:
+        out.write(rendered)
+    else:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise OSError(f"cannot write {out_path!r}: {exc.strerror}") from exc
+    return cli.EXIT_OK
+
+
+class FullStdout:
+    def write(self, s):
+        raise OSError(28, "No space left on device")
+
+
+class TestStreamedExport:
+    """cmd_export writes each export in blocks of lines; the bytes, the exit
+    code and the messages must be those of reference_cmd_export, which
+    renders the export whole."""
+
+    @pytest.fixture(scope="class")
+    def order_400_cache(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("cache"))
+
+    @staticmethod
+    def _same_as_reference(capsys, monkeypatch, target, *argv):
+        """Run argv, and again with the reference; compare what each leaves
+        at target (the --out file, if argv names one) too."""
+        def run_and_read():
+            target.unlink(missing_ok=True)
+            return run(capsys, *argv), target.read_text() if target.exists() else None
+
+        got = run_and_read()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "cmd_export", reference_cmd_export)
+            assert run_and_read() == got
+        return got[0]
+
+    @pytest.mark.parametrize("output_format", cli.FORMATS)
+    @pytest.mark.parametrize("stat", cli.STATS)
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_every_format_and_size(self, capsys, monkeypatch, tmp_path, order_400_cache,
+                                   output_format, stat, to_file):
+        # one row, a block less one row, exactly a block, and values past 53
+        # bits (p(400) is about 6.9e18), where JSON writes strings
+        assert stanley.p_series(400).coeffs[400] > cli.JSON_SAFE_MAGNITUDE
+        target = tmp_path / f"{stat}.{output_format}"
+        for max_n in ("0", "255", "256", "400"):
+            argv = ["export", "--stat", stat, "--max", max_n, "--order", "400",
+                    "--format", output_format, "--cache", order_400_cache]
+            code, out, err = self._same_as_reference(
+                capsys, monkeypatch, target, *argv, *(["--out", str(target)] if to_file else []))
+            assert (code, err) == (0, "")
+            text = target.read_text() if to_file else out
+            assert text.count("\n") == (1 if output_format == "json" else int(max_n) + 1 + (output_format == "csv"))
+
+    @pytest.mark.parametrize("output_format", cli.FORMATS)
+    def test_render_functions_join_what_the_command_writes(self, capsys, output_format):
+        values = list(stanley.f_series(400).coeffs)
+        code, out, _ = run(capsys, "export", "--stat", "f", "--max", "400", "--order", "400",
+                           "--format", output_format)
+        assert code == 0
+        reference = {"csv": reference_render_csv("f", values), "json": reference_render_json("f", values)}
+        rendered = {"csv": render_csv("f", values), "json": render_json("f", values)}
+        assert out == rendered.get(output_format, render_bfile(values))
+        assert out == reference.get(output_format, reference_render_bfile(values))
+
+    def test_write_errors_read_as_before(self, capsys, monkeypatch, tmp_path):
+        # an --out that cannot be opened, and a stdout that cannot be written
+        bad = tmp_path / "missing" / "t.txt"
+        code, out, err = self._same_as_reference(
+            capsys, monkeypatch, bad, "export", "--stat", "t", "--max", "4", "--out", str(bad))
+        assert (code, out) == (3, "") and str(bad) in err
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code, _, err = self._same_as_reference(capsys, monkeypatch, bad, "export", "--stat", "t", "--max", "4")
+        assert (code, err) == (3, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("output_format", ["bfile", "csv"])
+    def test_a_long_export_takes_several_writes_of_a_block_each(self, tmp_path, output_format):
+        argv = ["export", "--stat", "p", "--max", "2000", "--order", "2000",
+                "--format", output_format, "--cache", str(tmp_path)]
+        out = CountingOut()
+        assert cli.cmd_export(cli._parse_exact(argv), out) == 0
+        lines = 2001 + (output_format == "csv")
+        assert sum(out.lines) == out.getvalue().count("\n") == lines
+        # a per-row write would make 2,001 calls; one write of it all would hold it in memory
+        assert len(out.lines) == -(-lines // cli.BLOCK_ROWS)
+        assert max(out.lines) == cli.BLOCK_ROWS
 
 
 class TestCache:
