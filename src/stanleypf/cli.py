@@ -10,8 +10,9 @@ Output formats, checked before any series, suite or cache work:
 
 A verify report's JSON keys and CSV columns are VerificationReport's
 fields, in their order, so a field added there needs no edit here. JSON
-writes an int of 53 bits or more as a decimal string; CSV writes None as
-an empty cell and a bool as true or false.
+output writes an int of 53 bits or more as a decimal string; CSV writes
+None as an empty cell and a bool as true or false. A cache file holds its
+column as JSON integers of any size, since only cache_load reads it.
 
 No table, export or listing is held whole. Each line-per-row output (text
 or CSV table, verify CSV, b-file or CSV export, text listing) is one %
@@ -110,19 +111,15 @@ def _cache_file(cache_dir: str, stat: str, order: int) -> str:
 def cache_store(cache_dir: str, stat: str, order: int, values) -> str:
     """Write one coefficient column, atomically, keyed by (stat, order, version).
 
-    Each writer renames its own temporary file into place, so runs sharing a
-    cache directory need no lock: entries are deterministic and the last
-    writer wins. A failed write or rename removes the temporary file and
-    raises the OSError.
+    The file is {"version", "stat", "order", "values"}, the values as JSON
+    integers. Each writer renames its own temporary file into place, so runs
+    sharing a cache directory need no lock: entries are deterministic and
+    the last writer wins. A failed write or rename removes the temporary
+    file and raises the OSError.
     """
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_file(cache_dir, stat, order)
-    payload = {
-        "version": __version__,
-        "stat": stat,
-        "order": order,
-        "values": [str(v) for v in values],
-    }
+    payload = {"version": __version__, "stat": stat, "order": order, "values": values}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
@@ -145,21 +142,22 @@ def _is_decimal(value) -> bool:
 
 
 def cache_load(cache_dir: str, stat: str, order: int) -> list[int] | None:
-    """Read one cached column; None on miss. Stale versions never match the
-    key, and a corrupt file warns and recomputes rather than answer wrongly."""
+    """Read one cached column; None on miss. A file whose version, stat or
+    order is not the key's is a miss, and a corrupt one (a value that is not
+    a JSON integer, such as the older layout's decimal strings) warns; the
+    command then recomputes the column and rewrites the file."""
     path = _cache_file(cache_dir, stat, order)
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError("payload is not a JSON object")
-        if payload.get("version") != __version__ or payload.get("stat") != stat:
+        if (payload.get("version"), payload.get("stat"), payload.get("order")) != (__version__, stat, order):
             return None
         values = payload["values"]
-        # cache_store writes decimal strings; int() would truncate a float
-        if not isinstance(values, list) or not all(map(_is_decimal, values)):
-            raise ValueError("coefficients are not a list of decimal strings")
-        values = [int(v) for v in values]
+        # json makes an int only of an integer literal; type() also refuses true, a bool
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
+            raise ValueError("coefficients are not a list of integers")
         if len(values) != order + 1:
             raise ValueError("wrong number of coefficients")
         return values
@@ -255,7 +253,7 @@ def cmd_verify(args, out) -> int:
     )
     passed = all(r.passed for r in reports)
     if args.output_format == "json":
-        entries = [{k: _json_coeff(v) if isinstance(v, int) else v for k, v in r.to_dict().items()} for r in reports]
+        entries = [{k: _json_coeff(v) if isinstance(v, int) else v for k, v in r._asdict().items()} for r in reports]
         print(json.dumps({"suite": args.suite, "passed": passed, "reports": entries}), file=out)
     elif args.output_format == "csv":
         fields = verify.VerificationReport._fields

@@ -94,9 +94,6 @@ class VerificationReport(
             raise ValueError("passed must hold exactly when there is no failure index")
         return self
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
     def to_line(self) -> str:
         if self.passed:
             return f"PASS {self.check_name}: verified to {self.order_or_bound}"

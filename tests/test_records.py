@@ -67,8 +67,8 @@ class TestSpecs:
 
 
 class TestVerificationReport:
-    def test_to_dict_keys_in_order(self):
-        d = VerificationReport("demo", 7, False, 3, 10, 11).to_dict()
+    def test_asdict_keys_in_order(self):
+        d = VerificationReport("demo", 7, False, 3, 10, 11)._asdict()
         assert list(d) == [
             "check_name",
             "order_or_bound",
@@ -78,7 +78,7 @@ class TestVerificationReport:
             "rhs_value",
         ]
         assert list(d.values()) == ["demo", 7, False, 3, 10, 11]
-        assert list(VerificationReport("ok", 4, True).to_dict().values()) == [
+        assert list(VerificationReport("ok", 4, True)._asdict().values()) == [
             "ok", 4, True, None, None, None,
         ]
 
